@@ -41,9 +41,6 @@ from .functions import (
     contour_norm_integral,
     dominating_resolvent_scale,
     naive_g,
-    resolvent_trace,
-    resolvent_trace_with_g,
-    spectral_functional_trace,
 )
 from .graph import EdgeListError, Graph, build_torus_cayley, from_edge_list, laplacian
 from .oracle import (
@@ -99,10 +96,7 @@ __all__ = [
     "naive_g",
     "pair_estimate",
     "pair_product",
-    "resolvent_trace",
-    "resolvent_trace_with_g",
     "sample",
-    "spectral_functional_trace",
     "splitmix64",
     "walsh_spectrum",
 ]

@@ -7,7 +7,8 @@ small-n checks), `bench` (cost counters).
 Output contract: stdout carries exactly one JSON document, and --out
 writes the same bytes to a file; the human-readable report, including
 measured wall time, goes to stderr. JSON content is independent of
---threads and of the machine, so identical configs diff clean.
+--threads. Its last bits can differ across BLAS builds, CPUs and
+OPENBLAS_NUM_THREADS, since they come from LAPACK.
 
 Exit codes: 0 success, 1 numerical or reproduction failure, 2 usage or
 configuration error (including oracle budget refusals).
@@ -24,10 +25,10 @@ from dataclasses import dataclass
 
 from .estimator import (
     SCHEMA_VERSION,
+    EvalCounters,
     certify,
     certify_dominated,
     choose_p,
-    markov_apriori,
 )
 from .functions import (
     AnalyticFunction,
@@ -39,7 +40,7 @@ from .functions import (
     dominating_resolvent_scale,
 )
 from .graph import Graph, build_torus_cayley, from_edge_list, laplacian
-from .oracle import check_domination, check_nonnegative, exact_expectation, walsh_spectrum
+from .oracle import check_domination, check_nonnegative, walsh_spectrum
 from .sampling import all_ones
 
 # pair-evaluation count above which delta mode insists on --yes
@@ -166,28 +167,41 @@ def _resolve_p(config: RunConfig, graph: Graph, probe) -> int:
     return p
 
 
-def _build_params(config: RunConfig, graph: Graph) -> ResolventParams:
+def _graph_and_params(config: RunConfig) -> tuple[Graph, ResolventParams]:
+    graph = _load_graph(config.graph_spec)
     try:
-        return ResolventParams(config.lam, config.gamma, laplacian(graph))
+        return graph, ResolventParams(config.lam, config.gamma, laplacian(graph))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
+def _certify_resolvent(config: RunConfig, graph: Graph, params: ResolventParams):
+    """(p, certificate) for the resolvent trace, p from --p or --delta."""
+    fn = ResolventTraceFunction(params)
+    p = _resolve_p(config, graph, probe=lambda: fn.evaluate_with_g(all_ones(fn.n)))
+    return p, certify(fn, p, config.seed, threads=config.threads)
+
+
+def _certificate_doc(config: RunConfig, graph: Graph, p: int, cert) -> dict:
+    """The config block followed by the certificate minus what the config
+    block already carries."""
+    body = cert.to_json_dict()
+    for key in ("schema_version", "p", "seed"):
+        body.pop(key)
+    return {"schema_version": SCHEMA_VERSION, "config": _config_json(config, graph, p), **body}
+
+
+def _counters_line(counters: EvalCounters) -> str:
+    return f"evaluations {counters.evaluations}, factorizations {counters.factorizations}, wall {counters.wall_ms:.1f} ms"
+
+
 def cmd_certify(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    graph = _load_graph(config.graph_spec)
-    params = _build_params(config, graph)
+    graph, params = _graph_and_params(config)
 
     if config.mode == "resolvent":
-        fn = ResolventTraceFunction(params)
-        p = _resolve_p(config, graph, probe=lambda: fn.evaluate_with_g(all_ones(fn.n)))
-        cert = certify(fn, p, config.seed, threads=config.threads)
-        doc = {"schema_version": SCHEMA_VERSION, "config": _config_json(config, graph, p)}
-        body = cert.to_json_dict()
-        for key in ("schema_version", "p", "seed"):
-            body.pop(key)
-        doc.update(body)
-        _emit(doc, config.out)
+        p, cert = _certify_resolvent(config, graph, params)
+        _emit(_certificate_doc(config, graph, p, cert), config.out)
         _report([
             f"{config.graph_spec}: n={graph.n}, max degree {graph.max_degree}",
             f"lambda={config.lam:g} gamma={config.gamma:g} p={p} seed={config.seed} threads={config.threads}",
@@ -195,8 +209,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
             f"expected width {cert.expected_width:.4e}, markov 90% width {cert.markov_90_width:.4e},"
             f" realized within markov: {'yes' if cert.realized_within_markov else 'NO'}",
             f"a-priori width from c={cert.c_bound:g}: {cert.c_markov_width:.4e}",
-            f"evaluations {cert.counters.evaluations}, factorizations {cert.counters.factorizations},"
-            f" wall {cert.counters.wall_ms:.1f} ms",
+            _counters_line(cert.counters),
         ])
         return 0
 
@@ -205,18 +218,12 @@ def cmd_certify(args: argparse.Namespace) -> int:
     g2 = GFunction(f2)
     p = _resolve_p(config, graph, probe=lambda: (f1.evaluate(all_ones(f1.n)), g2.evaluate(all_ones(g2.n))))
     cert = certify_dominated(f1, g2, p, config.seed, threads=config.threads)
-    doc = {"schema_version": SCHEMA_VERSION, "config": _config_json(config, graph, p)}
-    body = cert.to_json_dict()
-    for key in ("schema_version", "p", "seed"):
-        body.pop(key)
-    doc.update(body)
-    _emit(doc, config.out)
+    _emit(_certificate_doc(config, graph, p, cert), config.out)
     _report([
         f"{config.graph_spec}: n={graph.n}, max degree {graph.max_degree}, h={h.name}",
         f"lambda={config.lam:g} gamma={config.gamma:g} p={p} seed={config.seed} threads={config.threads}",
         f"E[f1] within {cert.radius!r} of ({cert.center.real!r}, {cert.center.imag!r}i)",
-        f"evaluations {cert.counters.evaluations}, factorizations {cert.counters.factorizations},"
-        f" wall {cert.counters.wall_ms:.1f} ms",
+        _counters_line(cert.counters),
     ])
     return 0
 
@@ -234,26 +241,19 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         threads=args.threads,
         assume_yes=True,
     )
-    graph = _load_graph(config.graph_spec)
-    params = _build_params(config, graph)
-    fn = ResolventTraceFunction(params)
-    cert = certify(fn, config.p, config.seed, threads=config.threads)
+    graph, params = _graph_and_params(config)
+    p, cert = _certify_resolvent(config, graph, params)
 
     ref_lower, ref_upper = REPRODUCE_BRACKET
     intersects = cert.lower <= ref_upper and cert.upper >= ref_lower
-    doc = {"schema_version": SCHEMA_VERSION, "config": _config_json(config, graph, config.p)}
-    body = cert.to_json_dict()
-    for key in ("schema_version", "p", "seed"):
-        body.pop(key)
-    doc.update(body)
+    doc = _certificate_doc(config, graph, p, cert)
     doc["reference"] = {"lower": ref_lower, "upper": ref_upper, "intersects": intersects}
     _emit(doc, config.out)
     _report([
-        f"flagship run: {config.graph_spec} (n={graph.n}), lambda=1 gamma=1 p={config.p} seed={config.seed}",
+        f"flagship run: {config.graph_spec} (n={graph.n}), lambda=1 gamma=1 p={p} seed={config.seed}",
         f"certified E[f] in [{cert.lower!r}, {cert.upper!r}]",
         f"reference bracket [{ref_lower}, {ref_upper}]: intersection {'nonempty' if intersects else 'EMPTY'}",
-        f"evaluations {cert.counters.evaluations}, factorizations {cert.counters.factorizations},"
-        f" wall {cert.counters.wall_ms:.1f} ms",
+        _counters_line(cert.counters),
     ])
     if not intersects:
         print("error: certified interval misses the reference bracket; both provably contain E[f], so this is a bug", file=sys.stderr)
@@ -263,14 +263,12 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    graph = _load_graph(config.graph_spec)
-    params = _build_params(config, graph)
+    graph, params = _graph_and_params(config)
     doc = {"schema_version": SCHEMA_VERSION, "config": _config_json(config, graph, None), "tol": ORACLE_TOL}
 
     if config.mode == "resolvent":
-        fn = ResolventTraceFunction(params)
-        exact = exact_expectation(fn)
         spectrum = walsh_spectrum(ResolventTraceFunction(params))
+        exact = float(spectrum.coefficients[0])
         verdict = check_nonnegative(spectrum, ORACLE_TOL)
         doc.update({
             "exact_expectation": exact,
@@ -289,10 +287,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
     h = AnalyticFunction.from_spec(config.mode.partition(":")[2])
     f1, f2 = dominating_resolvent_scale(h, params, graph)
-    exact1 = complex(exact_expectation(f1))
     spectrum1 = walsh_spectrum(f1)
-    spectrum2 = walsh_spectrum(f2)
-    verdict = check_domination(spectrum1, spectrum2, ORACLE_TOL)
+    exact1 = complex(spectrum1.coefficients[0])
+    verdict = check_domination(spectrum1, walsh_spectrum(f2), ORACLE_TOL)
     doc.update({
         "exact_expectation_re": exact1.real,
         "exact_expectation_im": exact1.imag,
@@ -312,11 +309,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    graph = _load_graph(config.graph_spec)
-    params = _build_params(config, graph)
-    fn = ResolventTraceFunction(params)
-    p = _resolve_p(config, graph, probe=lambda: fn.evaluate_with_g(all_ones(fn.n)))
-    cert = certify(fn, p, config.seed, threads=config.threads)
+    graph, params = _graph_and_params(config)
+    p, cert = _certify_resolvent(config, graph, params)
 
     naive_equivalent = (graph.n + 1) * p * p
     speedup = naive_equivalent / cert.counters.factorizations
@@ -330,12 +324,21 @@ def cmd_bench(args: argparse.Namespace) -> int:
     _emit(doc, config.out)
     _report([
         f"{config.graph_spec}: n={graph.n}, p={p}",
-        f"factorizations performed: {cert.counters.factorizations}",
+        _counters_line(cert.counters),
         f"naive-equivalent f evaluations: (n+1)p^2 = {naive_equivalent}",
         f"speedup from pair symmetry and the rank-one flip sweep: {speedup:.1f}x",
-        f"wall {cert.counters.wall_ms:.1f} ms",
     ])
     return 0
+
+
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"thread count {text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"thread count must be at least 1, got {value}")
+    return value
 
 
 def _add_run_flags(sub: argparse.ArgumentParser, with_samples: bool):
@@ -349,7 +352,7 @@ def _add_run_flags(sub: argparse.ArgumentParser, with_samples: bool):
         group.add_argument("--p", type=int, help="sample count")
         group.add_argument("--delta", type=float, help="target expected width; picks p")
         sub.add_argument("--seed", type=_parse_seed, required=True, help="decimal or 0x-hex, in [0, 2^64)")
-        sub.add_argument("--threads", type=int, default=os.cpu_count() or 1, help="worker threads for pair evaluations")
+        sub.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1, help="worker threads for pair evaluations")
         sub.add_argument("--yes", action="store_true", help="accept large delta-implied budgets")
 
 
@@ -366,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     repro = commands.add_parser("reproduce", help="fixed flagship run against the reference bracket")
     repro.add_argument("--out", help="also write the JSON document to this path")
-    repro.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    repro.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1)
     repro.set_defaults(func=cmd_reproduce)
 
     orac = commands.add_parser("oracle", help="exhaustive small-n expectation and spectrum checks")

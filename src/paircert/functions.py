@@ -28,6 +28,7 @@ as the reference implementation for any function.
 from __future__ import annotations
 
 import abc
+import math
 import threading
 from dataclasses import dataclass
 from typing import Callable
@@ -64,10 +65,10 @@ class ResolventParams:
     laplacian: np.ndarray
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         lap = self.laplacian
         if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
             raise ValueError(f"laplacian must be square, got shape {lap.shape}")
@@ -201,16 +202,6 @@ class ResolventTraceFunction(BernoulliFunction):
         return 2.0 * self.params.lam / self.params.gamma**2
 
 
-def resolvent_trace(params: ResolventParams, eps: np.ndarray) -> float:
-    """One-shot normalized resolvent trace at eps; value in (0, 1/gamma]."""
-    return ResolventTraceFunction(params).evaluate(eps)
-
-
-def resolvent_trace_with_g(params: ResolventParams, eps: np.ndarray) -> tuple[float, float]:
-    """One-shot (f, g) via the single-inverse flip sweep."""
-    return ResolventTraceFunction(params).evaluate_with_g(eps)
-
-
 @dataclass(frozen=True)
 class AnalyticFunction:
     """Complex function with an analyticity attestation.
@@ -281,11 +272,6 @@ class SpectralTraceFunction(BernoulliFunction):
         eigenvalues = np.linalg.eigvalsh(op)
         self._factorizations.add(1)
         return np.mean(self.h(eigenvalues)).item()
-
-
-def spectral_functional_trace(h: AnalyticFunction, params: ResolventParams, eps: np.ndarray):
-    """One-shot normalized trace of h applied to the sign-diagonal operator."""
-    return SpectralTraceFunction(h, params).evaluate(eps)
 
 
 def contour_norm_integral(h: AnalyticFunction, d: int, lam: float, gamma: float, nodes: int = 64) -> float:

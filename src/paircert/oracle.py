@@ -53,7 +53,7 @@ class WalshSpectrum:
     """All 2^n Walsh coefficients of a function; index = subset bitmask.
 
     Coefficients are real for real-valued functions and complex
-    otherwise. coefficients[0] is the expectation.
+    otherwise. coefficients[0] is the expectation, exactly rounded.
     """
 
     n: int
@@ -138,13 +138,15 @@ def exact_expectation(fn: BernoulliFunction) -> float | complex:
 
 
 def walsh_spectrum(fn: BernoulliFunction) -> WalshSpectrum:
-    """All Walsh coefficients of fn; coefficient 0 equals E[fn]."""
+    """All Walsh coefficients of fn. Coefficient 0 is E[fn], exactly
+    rounded as in `exact_expectation`, from the same single enumeration."""
     if fn.n > SPECTRUM_LIMIT:
         raise BudgetError(
             f"spectrum at n={fn.n} needs 2^{fn.n} = {1 << fn.n} evaluations; the budget stops at n={SPECTRUM_LIMIT}"
         )
     values = _enumerate_values(fn)
     coefficients = _fwht(values) / float(values.shape[0])
+    coefficients[0] = _exact_mean(values)
     return WalshSpectrum(n=fn.n, coefficients=coefficients)
 
 

@@ -7,6 +7,7 @@ import sys
 import jsonschema
 import pytest
 
+from paircert import cli
 from paircert.cli import main
 from paircert.estimator import NUMERICAL_SLACK
 
@@ -158,6 +159,32 @@ def test_nonpositive_gamma_exit2(capsys):
     assert "gamma" in err
 
 
+@pytest.mark.parametrize("lam, gamma, fragment", [("nan", "1", "lam"), ("inf", "1", "lam"), ("1", "inf", "gamma"), ("1", "nan", "gamma")])
+def test_nonfinite_disorder_exit2(capsys, lam, gamma, fragment):
+    code, out, err = run_cli(capsys, ["certify", "--graph", "torus:3", "--lambda", lam, "--gamma", gamma, "--p", "3", "--seed", "1"])
+    assert code == 2
+    assert out == ""
+    assert fragment in err and "finite" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_bad_delta_exit2(capsys, value):
+    code, out, err = run_cli(capsys, ["certify", "--graph", "torus:3", "--lambda", "1", "--gamma", "1", "--delta", value, "--seed", "1"])
+    assert code == 2
+    assert out == ""
+    assert "delta" in err
+
+
+@pytest.mark.parametrize(
+    "command", [["certify", "--graph", "torus:3", "--lambda", "1", "--gamma", "1", "--p", "3", "--seed", "1"], ["reproduce"]]
+)
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_bad_thread_count_exit2(command, threads):
+    with pytest.raises(SystemExit) as excinfo:
+        main(command + ["--threads", threads])
+    assert excinfo.value.code == 2
+
+
 def test_oracle_budget_exit2(capsys):
     code, _, err = run_cli(capsys, ["oracle", "--graph", "torus:5", "--lambda", "1", "--gamma", "1"])
     assert code == 2
@@ -263,6 +290,32 @@ def test_oracle_torus4_within_budget(capsys):
     doc = json.loads(out)
     assert doc["nonnegative"] is True
     assert 0.0 < doc["exact_expectation"] <= 1.0
+
+
+def test_oracle_enumerates_once_per_function(capsys, monkeypatch):
+    # one walsh_spectrum pass per function: 2^n factorizations for the
+    # resolvent, 2 * 2^n with --h (spectral f1 plus its resolvent bound f2)
+    built = []
+    real_scale = cli.dominating_resolvent_scale
+
+    class CountingResolvent(cli.ResolventTraceFunction):
+        def __init__(self, params):
+            super().__init__(params)
+            built.append(self)
+
+    def counting_scale(*args):
+        pair = real_scale(*args)
+        built.extend(pair)
+        return pair
+
+    monkeypatch.setattr(cli, "ResolventTraceFunction", CountingResolvent)
+    monkeypatch.setattr(cli, "dominating_resolvent_scale", counting_scale)
+    argv = ["oracle", "--graph", "torus:3", "--lambda", "1", "--gamma", "1"]
+    assert run_cli(capsys, argv)[0] == 0
+    assert sum(fn.factorization_count for fn in built) == 2**9
+    built.clear()
+    assert run_cli(capsys, argv + ["--h", "exp:0.1"])[0] == 0
+    assert sum(fn.factorization_count for fn in built) == 2 * 2**9
 
 
 def test_bench_p1_single_factorization(capsys):

@@ -154,6 +154,23 @@ def test_choose_p_warns_on_large_budget():
         choose_p(1.0, 1.0, -0.5)
 
 
+@pytest.mark.parametrize(
+    "lam, gamma, delta",
+    [
+        (math.nan, 1.0, 0.5),
+        (math.inf, 1.0, 0.5),
+        (1.0, math.inf, 0.5),
+        (1.0, math.nan, 0.5),
+        (1.0, 0.0, 0.5),
+        (1.0, 1.0, math.nan),
+        (1.0, 1.0, math.inf),
+    ],
+)
+def test_choose_p_rejects_nonfinite(lam, gamma, delta):
+    with pytest.raises(ValueError, match="positive and finite"):
+        choose_p(lam, gamma, delta)
+
+
 def test_certificate_width_invariants(torus3_params):
     cert = certify(ResolventTraceFunction(torus3_params), 5, 99)
     assert cert.lower <= cert.upper

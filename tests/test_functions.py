@@ -17,9 +17,6 @@ from paircert.functions import (
     contour_norm_integral,
     dominating_resolvent_scale,
     naive_g,
-    resolvent_trace,
-    resolvent_trace_with_g,
-    spectral_functional_trace,
 )
 from paircert.graph import build_torus_cayley, laplacian
 from paircert.sampling import all_ones, flip
@@ -55,11 +52,12 @@ def test_torus3_all_ones(torus3_params):
 
 
 def test_module_level_ops(torus3_params):
+    # fresh objects, as one-shot use builds them
     eps = all_ones(9)
-    assert resolvent_trace(torus3_params, eps) == pytest.approx(2 / 7, abs=1e-13)
-    f, g = resolvent_trace_with_g(torus3_params, eps)
+    assert ResolventTraceFunction(torus3_params).evaluate(eps) == pytest.approx(2 / 7, abs=1e-13)
+    f, g = ResolventTraceFunction(torus3_params).evaluate_with_g(eps)
     assert f == pytest.approx(2 / 7, abs=1e-13)
-    assert g == pytest.approx(ResolventTraceFunction(torus3_params).evaluate_with_g(eps)[1], abs=1e-15)
+    assert g == pytest.approx(naive_g(ResolventTraceFunction(torus3_params), eps), abs=1e-13)
 
 
 def test_value_range():
@@ -240,7 +238,7 @@ def test_spectral_trace_single_vertex_square():
     # operator is the 1x1 matrix (-lam*eps): h gives eps^2 = 1 either way
     assert fn.evaluate(np.array([1], dtype=np.int8)) == pytest.approx(1.0, abs=1e-14)
     assert fn.evaluate(np.array([-1], dtype=np.int8)) == pytest.approx(1.0, abs=1e-14)
-    assert spectral_functional_trace(square, res.params, np.array([-1], dtype=np.int8)) == pytest.approx(1.0, abs=1e-14)
+    assert SpectralTraceFunction(square, res.params).evaluate(np.array([-1], dtype=np.int8)) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_scaled_function(torus3_params):
