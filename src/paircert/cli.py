@@ -21,9 +21,9 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from .estimator import (
+    PAIR_BUDGET_WARN,
     SCHEMA_VERSION,
     EvalCounters,
     certify,
@@ -43,9 +43,6 @@ from .graph import Graph, build_torus_cayley, from_edge_list, laplacian
 from .oracle import check_domination, check_nonnegative, walsh_spectrum
 from .sampling import all_ones
 
-# pair-evaluation count above which delta mode insists on --yes
-YES_GATE = 10**6
-
 REPRODUCE_GRAPH = "torus:15"
 REPRODUCE_P = 30
 REPRODUCE_SEED = 1
@@ -56,22 +53,6 @@ ORACLE_TOL = 1e-10
 
 class UsageError(ValueError):
     """Bad flag combination or unusable configuration."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation: graph source, disorder, mode, budget."""
-
-    graph_spec: str
-    lam: float
-    gamma: float
-    mode: str
-    p: int | None
-    delta: float | None
-    seed: int
-    out: str | None
-    threads: int
-    assume_yes: bool
 
 
 def _parse_seed(text: str) -> int:
@@ -102,38 +83,19 @@ def _load_graph(spec: str) -> Graph:
     raise UsageError(f"unknown graph spec {spec!r}; expected torus:M or edges:PATH")
 
 
-def _mode_string(h_spec: str | None) -> str:
-    return "resolvent" if h_spec is None else f"spectral:{h_spec}"
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        graph_spec=args.graph,
-        lam=args.lam,
-        gamma=args.gamma,
-        mode=_mode_string(getattr(args, "h", None)),
-        p=getattr(args, "p", None),
-        delta=getattr(args, "delta", None),
-        seed=getattr(args, "seed", 0),
-        out=args.out,
-        threads=getattr(args, "threads", 1),
-        assume_yes=getattr(args, "yes", False),
-    )
-
-
-def _config_json(config: RunConfig, graph: Graph, p: int | None) -> dict:
+def _config_json(args: argparse.Namespace, graph: Graph, p: int | None) -> dict:
     doc = {
-        "graph": config.graph_spec,
+        "graph": args.graph,
         "n": graph.n,
-        "lambda": config.lam,
-        "gamma": config.gamma,
-        "mode": config.mode,
+        "lambda": args.lam,
+        "gamma": args.gamma,
+        "mode": "resolvent" if args.h is None else f"spectral:{args.h}",
     }
     if p is not None:
         doc["p"] = p
-        doc["seed"] = config.seed
-    if config.delta is not None:
-        doc["delta"] = config.delta
+        doc["seed"] = args.seed
+    if args.delta is not None:
+        doc["delta"] = args.delta
     return doc
 
 
@@ -149,46 +111,46 @@ def _report(lines):
     print("\n".join(lines), file=sys.stderr)
 
 
-def _resolve_p(config: RunConfig, graph: Graph, probe) -> int:
+def _resolve_p(args: argparse.Namespace, graph: Graph, probe) -> int:
     """p from --p, or from --delta with a cost preview and the --yes gate."""
-    if config.p is not None:
-        return config.p
-    p = choose_p(config.lam, config.gamma, config.delta, n=graph.n)
+    if args.p is not None:
+        return args.p
+    p = choose_p(args.lam, args.gamma, args.delta, n=graph.n)
     evaluations = p * (p - 1) // 2 + 1
     start = time.perf_counter()
     probe()
     per_eval = time.perf_counter() - start
     _report([
-        f"target width {config.delta}: p={p}, {evaluations} combined evaluations,"
+        f"target width {args.delta}: p={p}, {evaluations} combined evaluations,"
         f" estimated {per_eval * evaluations:.1f}s"
     ])
-    if p * p > YES_GATE and not config.assume_yes:
-        raise UsageError(f"p={p} implies {p * p} pair evaluations (> {YES_GATE}); pass --yes to proceed")
+    if p * p > PAIR_BUDGET_WARN and not args.yes:
+        raise UsageError(f"p={p} implies {p * p} pair evaluations (> {PAIR_BUDGET_WARN}); pass --yes to proceed")
     return p
 
 
-def _graph_and_params(config: RunConfig) -> tuple[Graph, ResolventParams]:
-    graph = _load_graph(config.graph_spec)
+def _graph_and_params(args: argparse.Namespace) -> tuple[Graph, ResolventParams]:
+    graph = _load_graph(args.graph)
     try:
-        return graph, ResolventParams(config.lam, config.gamma, laplacian(graph))
+        return graph, ResolventParams(args.lam, args.gamma, laplacian(graph))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
-def _certify_resolvent(config: RunConfig, graph: Graph, params: ResolventParams):
+def _certify_resolvent(args: argparse.Namespace, graph: Graph, params: ResolventParams):
     """(p, certificate) for the resolvent trace, p from --p or --delta."""
     fn = ResolventTraceFunction(params)
-    p = _resolve_p(config, graph, probe=lambda: fn.evaluate_with_g(all_ones(fn.n)))
-    return p, certify(fn, p, config.seed, threads=config.threads)
+    p = _resolve_p(args, graph, probe=lambda: fn.evaluate_with_g(all_ones(fn.n)))
+    return p, certify(fn, p, args.seed, threads=args.threads)
 
 
-def _certificate_doc(config: RunConfig, graph: Graph, p: int, cert) -> dict:
+def _certificate_doc(args: argparse.Namespace, graph: Graph, p: int, cert) -> dict:
     """The config block followed by the certificate minus what the config
     block already carries."""
     body = cert.to_json_dict()
     for key in ("schema_version", "p", "seed"):
         body.pop(key)
-    return {"schema_version": SCHEMA_VERSION, "config": _config_json(config, graph, p), **body}
+    return {"schema_version": SCHEMA_VERSION, "config": _config_json(args, graph, p), **body}
 
 
 def _counters_line(counters: EvalCounters) -> str:
@@ -196,15 +158,14 @@ def _counters_line(counters: EvalCounters) -> str:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    graph, params = _graph_and_params(config)
+    graph, params = _graph_and_params(args)
 
-    if config.mode == "resolvent":
-        p, cert = _certify_resolvent(config, graph, params)
-        _emit(_certificate_doc(config, graph, p, cert), config.out)
+    if args.h is None:
+        p, cert = _certify_resolvent(args, graph, params)
+        _emit(_certificate_doc(args, graph, p, cert), args.out)
         _report([
-            f"{config.graph_spec}: n={graph.n}, max degree {graph.max_degree}",
-            f"lambda={config.lam:g} gamma={config.gamma:g} p={p} seed={config.seed} threads={config.threads}",
+            f"{args.graph}: n={graph.n}, max degree {graph.max_degree}",
+            f"lambda={args.lam:g} gamma={args.gamma:g} p={p} seed={args.seed} threads={args.threads}",
             f"E[f] in [{cert.lower!r}, {cert.upper!r}]  (width {cert.width:.4e})",
             f"expected width {cert.expected_width:.4e}, markov 90% width {cert.markov_90_width:.4e},"
             f" realized within markov: {'yes' if cert.realized_within_markov else 'NO'}",
@@ -213,15 +174,15 @@ def cmd_certify(args: argparse.Namespace) -> int:
         ])
         return 0
 
-    h = AnalyticFunction.from_spec(config.mode.partition(":")[2])
+    h = AnalyticFunction.from_spec(args.h)
     f1, f2 = dominating_resolvent_scale(h, params, graph)
     g2 = GFunction(f2)
-    p = _resolve_p(config, graph, probe=lambda: (f1.evaluate(all_ones(f1.n)), g2.evaluate(all_ones(g2.n))))
-    cert = certify_dominated(f1, g2, p, config.seed, threads=config.threads)
-    _emit(_certificate_doc(config, graph, p, cert), config.out)
+    p = _resolve_p(args, graph, probe=lambda: (f1.evaluate(all_ones(f1.n)), g2.evaluate(all_ones(g2.n))))
+    cert = certify_dominated(f1, g2, p, args.seed, threads=args.threads)
+    _emit(_certificate_doc(args, graph, p, cert), args.out)
     _report([
-        f"{config.graph_spec}: n={graph.n}, max degree {graph.max_degree}, h={h.name}",
-        f"lambda={config.lam:g} gamma={config.gamma:g} p={p} seed={config.seed} threads={config.threads}",
+        f"{args.graph}: n={graph.n}, max degree {graph.max_degree}, h={h.name}",
+        f"lambda={args.lam:g} gamma={args.gamma:g} p={p} seed={args.seed} threads={args.threads}",
         f"E[f1] within {cert.radius!r} of ({cert.center.real!r}, {cert.center.imag!r}i)",
         _counters_line(cert.counters),
     ])
@@ -229,28 +190,16 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        graph_spec=REPRODUCE_GRAPH,
-        lam=1.0,
-        gamma=1.0,
-        mode="resolvent",
-        p=REPRODUCE_P,
-        delta=None,
-        seed=REPRODUCE_SEED,
-        out=args.out,
-        threads=args.threads,
-        assume_yes=True,
-    )
-    graph, params = _graph_and_params(config)
-    p, cert = _certify_resolvent(config, graph, params)
+    graph, params = _graph_and_params(args)
+    p, cert = _certify_resolvent(args, graph, params)
 
     ref_lower, ref_upper = REPRODUCE_BRACKET
     intersects = cert.lower <= ref_upper and cert.upper >= ref_lower
-    doc = _certificate_doc(config, graph, p, cert)
+    doc = _certificate_doc(args, graph, p, cert)
     doc["reference"] = {"lower": ref_lower, "upper": ref_upper, "intersects": intersects}
-    _emit(doc, config.out)
+    _emit(doc, args.out)
     _report([
-        f"flagship run: {config.graph_spec} (n={graph.n}), lambda=1 gamma=1 p={p} seed={config.seed}",
+        f"flagship run: {args.graph} (n={graph.n}), lambda=1 gamma=1 p={p} seed={args.seed}",
         f"certified E[f] in [{cert.lower!r}, {cert.upper!r}]",
         f"reference bracket [{ref_lower}, {ref_upper}]: intersection {'nonempty' if intersects else 'EMPTY'}",
         _counters_line(cert.counters),
@@ -262,11 +211,10 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    graph, params = _graph_and_params(config)
-    doc = {"schema_version": SCHEMA_VERSION, "config": _config_json(config, graph, None), "tol": ORACLE_TOL}
+    graph, params = _graph_and_params(args)
+    doc = {"schema_version": SCHEMA_VERSION, "config": _config_json(args, graph, None), "tol": ORACLE_TOL}
 
-    if config.mode == "resolvent":
+    if args.h is None:
         spectrum = walsh_spectrum(ResolventTraceFunction(params))
         exact = float(spectrum.coefficients[0])
         verdict = check_nonnegative(spectrum, ORACLE_TOL)
@@ -276,16 +224,16 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             "min_coefficient_mask": verdict.mask,
             "nonnegative": verdict.ok,
         })
-        _emit(doc, config.out)
+        _emit(doc, args.out)
         _report([
-            f"{config.graph_spec}: n={graph.n}, 2^n = {1 << graph.n} evaluations per pass",
+            f"{args.graph}: n={graph.n}, 2^n = {1 << graph.n} evaluations per pass",
             f"exact E[f] = {exact!r}",
             f"min Walsh coefficient {verdict.value!r} at mask {verdict.mask} (subset {verdict.subset()})",
             f"nonnegative at tol {ORACLE_TOL:g}: {'yes' if verdict.ok else 'NO'}",
         ])
         return 0 if verdict.ok else 1
 
-    h = AnalyticFunction.from_spec(config.mode.partition(":")[2])
+    h = AnalyticFunction.from_spec(args.h)
     f1, f2 = dominating_resolvent_scale(h, params, graph)
     spectrum1 = walsh_spectrum(f1)
     exact1 = complex(spectrum1.coefficients[0])
@@ -297,9 +245,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "max_domination_excess_mask": verdict.mask,
         "dominated": verdict.ok,
     })
-    _emit(doc, config.out)
+    _emit(doc, args.out)
     _report([
-        f"{config.graph_spec}: n={graph.n}, h={h.name}",
+        f"{args.graph}: n={graph.n}, h={h.name}",
         f"exact E[f1] = {exact1.real!r} + {exact1.imag!r}i",
         f"worst |a_S| - b_S = {verdict.value!r} at mask {verdict.mask} (subset {verdict.subset()})",
         f"dominated at tol {ORACLE_TOL:g}: {'yes' if verdict.ok else 'NO'}",
@@ -308,22 +256,21 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    graph, params = _graph_and_params(config)
-    p, cert = _certify_resolvent(config, graph, params)
+    graph, params = _graph_and_params(args)
+    p, cert = _certify_resolvent(args, graph, params)
 
     naive_equivalent = (graph.n + 1) * p * p
     speedup = naive_equivalent / cert.counters.factorizations
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "config": _config_json(config, graph, p),
+        "config": _config_json(args, graph, p),
         "counters": cert.counters.to_json_dict(),
         "naive_equivalent_evaluations": naive_equivalent,
         "speedup_ratio": speedup,
     }
-    _emit(doc, config.out)
+    _emit(doc, args.out)
     _report([
-        f"{config.graph_spec}: n={graph.n}, p={p}",
+        f"{args.graph}: n={graph.n}, p={p}",
         _counters_line(cert.counters),
         f"naive-equivalent f evaluations: (n+1)p^2 = {naive_equivalent}",
         f"speedup from pair symmetry and the rank-one flip sweep: {speedup:.1f}x",
@@ -370,11 +317,20 @@ def build_parser() -> argparse.ArgumentParser:
     repro = commands.add_parser("reproduce", help="fixed flagship run against the reference bracket")
     repro.add_argument("--out", help="also write the JSON document to this path")
     repro.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1)
-    repro.set_defaults(func=cmd_reproduce)
+    repro.set_defaults(
+        func=cmd_reproduce,
+        graph=REPRODUCE_GRAPH,
+        lam=1.0,
+        gamma=1.0,
+        h=None,
+        p=REPRODUCE_P,
+        delta=None,
+        seed=REPRODUCE_SEED,
+    )
 
     orac = commands.add_parser("oracle", help="exhaustive small-n expectation and spectrum checks")
     _add_run_flags(orac, with_samples=False)
-    orac.set_defaults(func=cmd_oracle)
+    orac.set_defaults(func=cmd_oracle, delta=None)
 
     bench = commands.add_parser("bench", help="cost counters against the naive-equivalent figure")
     _add_run_flags(bench, with_samples=True)

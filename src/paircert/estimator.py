@@ -42,7 +42,8 @@ from .sampling import SampleSet, all_ones, pair_product, sample
 SCHEMA_VERSION = 1
 NUMERICAL_SLACK = 1e-8
 
-# choose_p warns once the implied pair-evaluation count crosses this.
+# choose_p warns, and the CLI's --delta mode requires --yes, once the
+# implied pair-evaluation count crosses this.
 PAIR_BUDGET_WARN = 10**6
 
 

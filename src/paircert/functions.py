@@ -38,8 +38,9 @@ from scipy.linalg import lapack
 
 from .sampling import flip
 
-# Quadrature refinement stops once doubling the nodes moves the value by
-# less than this relative amount.
+# Quadrature starts at this many nodes and stops once doubling the nodes
+# moves the value by less than QUADRATURE_RTOL relative.
+QUADRATURE_START_NODES = 64
 QUADRATURE_RTOL = 1e-10
 QUADRATURE_NODE_CAP = 1 << 20
 
@@ -69,6 +70,8 @@ class ResolventParams:
             raise ValueError(f"lam must be positive and finite, got {self.lam}")
         if not (math.isfinite(self.gamma) and self.gamma > 0):
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        if not (self.gamma**2 > 0 and math.isfinite(2.0 * self.lam / self.gamma**2)):
+            raise ValueError(f"gamma={self.gamma} is too small for lam={self.lam}: 2*lam/gamma^2 must be finite")
         lap = self.laplacian
         if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
             raise ValueError(f"laplacian must be square, got shape {lap.shape}")
@@ -144,22 +147,6 @@ def naive_g(fn: BernoulliFunction, eps: np.ndarray):
     return 0.5 * acc
 
 
-def _spd_inverse(matrix: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix via Cholesky.
-
-    No pivoted fallback: a dpotrf failure means the positivity guarantee
-    was violated upstream.
-    """
-    factor, info = lapack.dpotrf(matrix, lower=1)
-    if info != 0:
-        raise FactorizationError(f"Cholesky factorization failed (dpotrf info={info}); matrix is not positive definite")
-    inv, info = lapack.dpotri(factor, lower=1)
-    if info != 0:
-        raise FactorizationError(f"inverse from Cholesky factor failed (dpotri info={info})")
-    lower = np.tril(inv)
-    return lower + np.tril(inv, -1).T
-
-
 class ResolventTraceFunction(BernoulliFunction):
     """Normalized resolvent trace of the sign-diagonal operator on a graph."""
 
@@ -170,11 +157,23 @@ class ResolventTraceFunction(BernoulliFunction):
         self._diag = np.diag_indices(self.n)
 
     def _inverse(self, eps: np.ndarray) -> np.ndarray:
+        """Lower triangle of M(eps)^-1 via Cholesky; the strict upper triangle is zero.
+
+        dpotrf zeroes the strict upper triangle of its factor (scipy's
+        default clean=1) and dpotri writes only the lower triangle, so the
+        result is exactly tril(M^-1). No pivoted fallback: a dpotrf failure
+        means the positivity guarantee was violated upstream.
+        """
         m = self._base.copy()
         m[self._diag] -= self.params.lam * eps
-        inv = _spd_inverse(m)
+        factor, info = lapack.dpotrf(m, lower=1)
+        if info != 0:
+            raise FactorizationError(f"Cholesky factorization failed (dpotrf info={info}); matrix is not positive definite")
+        lower, info = lapack.dpotri(factor, lower=1)
+        if info != 0:
+            raise FactorizationError(f"inverse from Cholesky factor failed (dpotri info={info})")
         self._factorizations.add(1)
-        return inv
+        return lower
 
     def evaluate(self, eps: np.ndarray) -> float:
         eps = np.asarray(eps)
@@ -185,9 +184,11 @@ class ResolventTraceFunction(BernoulliFunction):
         eps = np.asarray(eps)
         self._require_dimension(eps)
         lam, n = self.params.lam, self.n
-        inv = self._inverse(eps)
-        trace = float(np.trace(inv))
-        diag = np.diagonal(inv)
+        lower = self._inverse(eps)
+        trace = float(np.trace(lower))
+        diag = np.diagonal(lower)
+        inv = lower + lower.T
+        inv[self._diag] = diag  # the sum above doubled the diagonal
         col_sq = (inv * inv).sum(axis=0)  # (M^-2)_rr, columns of a symmetric inverse
         denom = 1.0 + 2.0 * lam * eps * diag
         if np.any(denom <= 0.0):
@@ -274,7 +275,7 @@ class SpectralTraceFunction(BernoulliFunction):
         return np.mean(self.h(eigenvalues)).item()
 
 
-def contour_norm_integral(h: AnalyticFunction, d: int, lam: float, gamma: float, nodes: int = 64) -> float:
+def contour_norm_integral(h: AnalyticFunction, d: int, lam: float, gamma: float) -> float:
     """Scaling constant kappa = (r/2pi) * integral of |h| over |z - d| = r.
 
     Here r = d + lam + gamma and d is the maximum degree. Trapezoidal
@@ -284,10 +285,6 @@ def contour_norm_integral(h: AnalyticFunction, d: int, lam: float, gamma: float,
     """
     if not h.attested:
         raise AttestationError(f"{h.name}: analyticity on the contour disk is not attested")
-    if nodes < 8:
-        raise ValueError(f"nodes must be at least 8, got {nodes}")
-    if nodes % 2 != 0:
-        raise ValueError(f"nodes must be even, got {nodes}")
     radius = d + lam + gamma
 
     def level(count: int) -> float:
@@ -298,7 +295,7 @@ def contour_norm_integral(h: AnalyticFunction, d: int, lam: float, gamma: float,
             raise QuadratureError(f"{h.name}: |h| is not finite on the contour; check the analyticity attestation")
         return radius * (float(np.sum(values)) / count)
 
-    count = nodes
+    count = QUADRATURE_START_NODES
     previous = level(count)
     while count < QUADRATURE_NODE_CAP:
         count *= 2
@@ -356,7 +353,7 @@ class GFunction(BernoulliFunction):
         return self.fn.factorization_count
 
 
-def dominating_resolvent_scale(h: AnalyticFunction, params: ResolventParams, graph, nodes: int = 64):
+def dominating_resolvent_scale(h: AnalyticFunction, params: ResolventParams, graph):
     """Spectral trace of h plus the contour-scaled resolvent that dominates it.
 
     Returns (f1, f2): f1 is the spectral trace of h and f2 = kappa times
@@ -367,7 +364,7 @@ def dominating_resolvent_scale(h: AnalyticFunction, params: ResolventParams, gra
     """
     if params.n != graph.n:
         raise ValueError(f"laplacian dimension {params.n} does not match graph vertex count {graph.n}")
-    kappa = contour_norm_integral(h, graph.max_degree, params.lam, params.gamma, nodes=nodes)
+    kappa = contour_norm_integral(h, graph.max_degree, params.lam, params.gamma)
     f1 = SpectralTraceFunction(h, params)
     f2 = ScaledFunction(ResolventTraceFunction(params), kappa)
     return f1, f2

@@ -159,7 +159,10 @@ def test_nonpositive_gamma_exit2(capsys):
     assert "gamma" in err
 
 
-@pytest.mark.parametrize("lam, gamma, fragment", [("nan", "1", "lam"), ("inf", "1", "lam"), ("1", "inf", "gamma"), ("1", "nan", "gamma")])
+@pytest.mark.parametrize(
+    "lam, gamma, fragment",
+    [("nan", "1", "lam"), ("inf", "1", "lam"), ("1", "inf", "gamma"), ("1", "nan", "gamma"), ("1", "1e-160", "gamma"), ("1", "1e-200", "gamma")],
+)
 def test_nonfinite_disorder_exit2(capsys, lam, gamma, fragment):
     code, out, err = run_cli(capsys, ["certify", "--graph", "torus:3", "--lambda", lam, "--gamma", gamma, "--p", "3", "--seed", "1"])
     assert code == 2
