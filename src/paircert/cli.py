@@ -111,24 +111,6 @@ def _report(lines):
     print("\n".join(lines), file=sys.stderr)
 
 
-def _resolve_p(args: argparse.Namespace, graph: Graph, probe) -> int:
-    """p from --p, or from --delta with a cost preview and the --yes gate."""
-    if args.p is not None:
-        return args.p
-    p = choose_p(args.lam, args.gamma, args.delta, n=graph.n)
-    evaluations = p * (p - 1) // 2 + 1
-    start = time.perf_counter()
-    probe()
-    per_eval = time.perf_counter() - start
-    _report([
-        f"target width {args.delta}: p={p}, {evaluations} combined evaluations,"
-        f" estimated {per_eval * evaluations:.1f}s"
-    ])
-    if p * p > PAIR_BUDGET_WARN and not args.yes:
-        raise UsageError(f"p={p} implies {p * p} pair evaluations (> {PAIR_BUDGET_WARN}); pass --yes to proceed")
-    return p
-
-
 def _graph_and_params(args: argparse.Namespace) -> tuple[Graph, ResolventParams]:
     graph = _load_graph(args.graph)
     try:
@@ -138,9 +120,22 @@ def _graph_and_params(args: argparse.Namespace) -> tuple[Graph, ResolventParams]
 
 
 def _certify_resolvent(args: argparse.Namespace, graph: Graph, params: ResolventParams):
-    """(p, certificate) for the resolvent trace, p from --p or --delta."""
+    """(p, certificate) for the resolvent trace, p from --p, or from --delta
+    with a cost preview and the --yes gate."""
     fn = ResolventTraceFunction(params)
-    p = _resolve_p(args, graph, probe=lambda: fn.evaluate_with_g(all_ones(fn.n)))
+    p = args.p
+    if p is None:
+        p = choose_p(args.lam, args.gamma, args.delta, n=graph.n)
+        evaluations = p * (p - 1) // 2 + 1
+        start = time.perf_counter()
+        fn.evaluate_with_g(all_ones(fn.n))
+        per_eval = time.perf_counter() - start
+        _report([
+            f"target width {args.delta}: p={p}, {evaluations} combined evaluations,"
+            f" estimated {per_eval * evaluations:.1f}s"
+        ])
+        if p * p > PAIR_BUDGET_WARN and not args.yes:
+            raise UsageError(f"p={p} implies {p * p} pair evaluations (> {PAIR_BUDGET_WARN}); pass --yes to proceed")
     return p, certify(fn, p, args.seed, threads=args.threads)
 
 
@@ -174,15 +169,16 @@ def cmd_certify(args: argparse.Namespace) -> int:
         ])
         return 0
 
+    if args.delta is not None:
+        # choose_p prices the resolvent width 10*lam/(gamma^2*delta), which ignores kappa
+        raise UsageError("--delta picks p for the resolvent trace only; with --h, give --p")
     h = AnalyticFunction.from_spec(args.h)
     f1, f2 = dominating_resolvent_scale(h, params, graph)
-    g2 = GFunction(f2)
-    p = _resolve_p(args, graph, probe=lambda: (f1.evaluate(all_ones(f1.n)), g2.evaluate(all_ones(g2.n))))
-    cert = certify_dominated(f1, g2, p, args.seed, threads=args.threads)
-    _emit(_certificate_doc(args, graph, p, cert), args.out)
+    cert = certify_dominated(f1, GFunction(f2), args.p, args.seed, threads=args.threads)
+    _emit(_certificate_doc(args, graph, args.p, cert), args.out)
     _report([
         f"{args.graph}: n={graph.n}, max degree {graph.max_degree}, h={h.name}",
-        f"lambda={args.lam:g} gamma={args.gamma:g} p={p} seed={args.seed} threads={args.threads}",
+        f"lambda={args.lam:g} gamma={args.gamma:g} p={args.p} seed={args.seed} threads={args.threads}",
         f"E[f1] within {cert.radius!r} of ({cert.center.real!r}, {cert.center.imag!r}i)",
         _counters_line(cert.counters),
     ])
@@ -292,14 +288,13 @@ def _add_run_flags(sub: argparse.ArgumentParser, with_samples: bool):
     sub.add_argument("--graph", required=True, help="torus:M (M >= 3) or edges:PATH")
     sub.add_argument("--lambda", dest="lam", type=float, required=True, help="disorder strength, positive")
     sub.add_argument("--gamma", type=float, required=True, help="spectral gap, positive")
-    sub.add_argument("--h", help="analytic function poly:c0,c1,... or exp:s (switches to the dominated spectral mode)")
     sub.add_argument("--out", help="also write the JSON document to this path")
     if with_samples:
         group = sub.add_mutually_exclusive_group(required=True)
         group.add_argument("--p", type=int, help="sample count")
         group.add_argument("--delta", type=float, help="target expected width; picks p")
         sub.add_argument("--seed", type=_parse_seed, required=True, help="decimal or 0x-hex, in [0, 2^64)")
-        sub.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1, help="worker threads for pair evaluations")
+        sub.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1, help="threads for the pair sweep, the calling thread included")
         sub.add_argument("--yes", action="store_true", help="accept large delta-implied budgets")
 
 
@@ -332,9 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(orac, with_samples=False)
     orac.set_defaults(func=cmd_oracle, delta=None)
 
-    bench = commands.add_parser("bench", help="cost counters against the naive-equivalent figure")
+    for sub in (cert, orac):
+        sub.add_argument("--h", help="analytic function poly:c0,c1,... or exp:s (switches to the dominated spectral mode)")
+
+    # no abbreviations, so that --h is refused here instead of read as --help
+    bench = commands.add_parser("bench", help="cost counters against the naive-equivalent figure", allow_abbrev=False)
     _add_run_flags(bench, with_samples=True)
-    bench.set_defaults(func=cmd_bench)
+    bench.set_defaults(func=cmd_bench, h=None)
 
     return parser
 

@@ -29,7 +29,6 @@ algebraic inequalities above are exact only in real arithmetic.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 import warnings
@@ -151,19 +150,23 @@ def _exact_sum(values):
 
 def _pair_sweep(evaluate, samples: SampleSet, threads: int):
     """Per-component pair-product averages of evaluate(eps) -> tuple, from
-    p(p-1)/2 + 1 evaluations, and the values at all-ones."""
+    p(p-1)/2 + 1 evaluations, and the values at all-ones.
+
+    The rows i of the pair triangle are split into `threads` interleaved
+    blocks. The calling thread sweeps block 0 and the pool the others, so a
+    sweep submits at most threads - 1 tasks, and none at threads=1.
+    """
     p = samples.p
     ones = evaluate(all_ones(samples.n))
 
-    def task(pair):
-        return evaluate(pair_product(samples, *pair))
+    def rows(first):
+        # rows first, first + threads, ...: about p^2/(2*threads) pairs
+        return [evaluate(pair_product(samples, i, j)) for i in range(first, p, threads) for j in range(i + 1, p)]
 
-    pairs = itertools.combinations(range(p), 2)
-    if threads <= 1:
-        values = list(map(task, pairs))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(task, pairs))
+    # only rows 0..p-2 hold pairs
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        others = [pool.submit(rows, k) for k in range(1, min(threads, p - 1))]
+        values = rows(0) + [v for job in others for v in job.result()]
     square = float(p) * float(p)
     averages = tuple((p * one + 2.0 * _exact_sum([v[k] for v in values])) / square for k, one in enumerate(ones))
     return averages, ones

@@ -332,21 +332,14 @@ class ScaledFunction(BernoulliFunction):
 
 
 class GFunction(BernoulliFunction):
-    """eps -> g(eps) of a wrapped function.
+    """eps -> g(eps) of a wrapped function, from its combined path."""
 
-    Uses the wrapped function's combined path by default; set fast=False
-    to force the naive n+1-evaluation reference.
-    """
-
-    def __init__(self, fn: BernoulliFunction, fast: bool = True):
+    def __init__(self, fn: BernoulliFunction):
         super().__init__(fn.n)
         self.fn = fn
-        self.fast = fast
 
     def evaluate(self, eps: np.ndarray):
-        if self.fast:
-            return self.fn.evaluate_with_g(eps)[1]
-        return naive_g(self.fn, np.asarray(eps))
+        return self.fn.evaluate_with_g(eps)[1]
 
     @property
     def factorization_count(self) -> int:

@@ -178,6 +178,28 @@ def test_bad_delta_exit2(capsys, value):
     assert "delta" in err
 
 
+def test_bench_rejects_h_exit2(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench", "--graph", "torus:3", "--lambda", "1", "--gamma", "1", "--p", "5", "--seed", "1", "--h", "poly:0,0,1"])
+    assert excinfo.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--h" in err
+
+
+def test_delta_with_h_exit2_before_quadrature(capsys, monkeypatch):
+    def no_quadrature(*args):
+        raise AssertionError("the kappa quadrature ran")
+
+    monkeypatch.setattr(cli, "dominating_resolvent_scale", no_quadrature)
+    code, out, err = run_cli(
+        capsys, ["certify", "--graph", "torus:3", "--lambda", "1", "--gamma", "1", "--delta", "0.5", "--seed", "4", "--h", "poly:0,0,1"]
+    )
+    assert code == 2
+    assert out == ""
+    assert "--delta" in err and "--h" in err
+
+
 @pytest.mark.parametrize(
     "command", [["certify", "--graph", "torus:3", "--lambda", "1", "--gamma", "1", "--p", "3", "--seed", "1"], ["reproduce"]]
 )

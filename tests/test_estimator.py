@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -93,6 +95,32 @@ def test_thread_count_invariance(torus3_params):
     s = sample(9, 9, 8)
     results = {pair_estimate(fn, s, threads=t) for t in (1, 2, 5, 16)}
     assert len(results) == 1
+
+
+def test_pair_sweep_submits_one_task_per_extra_block(monkeypatch, torus3_params):
+    submitted, callers = [], []
+
+    class CountingPool(ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            submitted.append(args)
+            return super().submit(*args, **kwargs)
+
+    class RecordingResolvent(ResolventTraceFunction):
+        def evaluate_with_g(self, eps):
+            callers.append(threading.get_ident())
+            return super().evaluate_with_g(eps)
+
+    monkeypatch.setattr("paircert.estimator.ThreadPoolExecutor", CountingPool)
+    s = sample(9, 9, 8)
+    for threads in (2, 5, 16):
+        submitted.clear()
+        pair_estimate(ResolventTraceFunction(torus3_params), s, threads=threads)
+        assert len(submitted) <= min(threads, s.p - 1) - 1
+
+    submitted.clear()
+    pair_estimate(RecordingResolvent(torus3_params), s, threads=1)
+    assert submitted == []
+    assert callers == [threading.get_ident()] * (9 * 8 // 2 + 1)
 
 
 def test_sandwich_small_sweep(torus3_params, torus3_exact):

@@ -250,12 +250,11 @@ def test_scaled_function(torus3_params):
 
 def test_g_function_paths(torus3_params):
     fn = ResolventTraceFunction(torus3_params)
-    fast = GFunction(fn)
-    slow = GFunction(fn, fast=False)
+    g = GFunction(fn)
     rng = np.random.default_rng(31)
     for _ in range(5):
         eps = random_signs(rng, 9)
-        assert fast.evaluate(eps) == pytest.approx(slow.evaluate(eps), rel=1e-9, abs=1e-14)
+        assert g.evaluate(eps) == pytest.approx(naive_g(fn, eps), rel=1e-9, abs=1e-14)
 
 
 def test_dominating_pair_h_one(torus3, torus3_params):

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from paircert.functions import (
     AnalyticFunction,
-    GFunction,
     ResolventParams,
     ResolventTraceFunction,
     dominating_resolvent_scale,
+    naive_g,
 )
 from paircert.graph import build_torus_cayley, laplacian
 from paircert.oracle import (
@@ -90,8 +90,9 @@ def test_g_spectrum_is_size_weighted(torus3_params):
     graph = random_connected_graph(rng, 6)
     for lam, gamma in [(1.0, 1.0), (2.0, 0.5)]:
         params = ResolventParams(lam, gamma, laplacian(graph))
-        f_spec = walsh_spectrum(ResolventTraceFunction(params))
-        g_spec = walsh_spectrum(GFunction(ResolventTraceFunction(params), fast=False))
+        fn = ResolventTraceFunction(params)
+        f_spec = walsh_spectrum(fn)
+        g_spec = walsh_spectrum(LambdaFunction(fn.n, lambda eps: naive_g(fn, eps)))
         sizes = np.bitwise_count(np.arange(64))
         np.testing.assert_allclose(g_spec.coefficients, sizes * f_spec.coefficients, atol=1e-10)
 
