@@ -25,7 +25,6 @@ from .estimator import (
     certify_dominated,
     choose_p,
     markov_apriori,
-    pair_estimate,
 )
 from .functions import (
     AnalyticFunction,
@@ -94,7 +93,6 @@ __all__ = [
     "laplacian",
     "markov_apriori",
     "naive_g",
-    "pair_estimate",
     "pair_product",
     "sample",
     "splitmix64",

@@ -23,7 +23,6 @@ import sys
 import time
 
 from .estimator import (
-    PAIR_BUDGET_WARN,
     SCHEMA_VERSION,
     EvalCounters,
     certify,
@@ -49,6 +48,9 @@ REPRODUCE_SEED = 1
 REPRODUCE_BRACKET = (0.2006, 0.2030)
 
 ORACLE_TOL = 1e-10
+
+# --delta needs --yes once the p it picks implies more pair evaluations than this
+PAIR_BUDGET_WARN = 10**6
 
 
 class UsageError(ValueError):
@@ -125,7 +127,7 @@ def _certify_resolvent(args: argparse.Namespace, graph: Graph, params: Resolvent
     fn = ResolventTraceFunction(params)
     p = args.p
     if p is None:
-        p = choose_p(args.lam, args.gamma, args.delta, n=graph.n)
+        p = choose_p(args.lam, args.gamma, args.delta)
         evaluations = p * (p - 1) // 2 + 1
         start = time.perf_counter()
         fn.evaluate_with_g(all_ones(fn.n))
@@ -305,11 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    cert = commands.add_parser("certify", help="sample and certify an enclosure")
+    # No abbreviations: a flag a subcommand lacks, such as --h on reproduce
+    # or bench, exits 2 instead of being read as --help or another flag.
+    cert = commands.add_parser("certify", help="sample and certify an enclosure", allow_abbrev=False)
     _add_run_flags(cert, with_samples=True)
     cert.set_defaults(func=cmd_certify)
 
-    repro = commands.add_parser("reproduce", help="fixed flagship run against the reference bracket")
+    repro = commands.add_parser("reproduce", help="fixed flagship run against the reference bracket", allow_abbrev=False)
     repro.add_argument("--out", help="also write the JSON document to this path")
     repro.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1)
     repro.set_defaults(
@@ -323,14 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
         seed=REPRODUCE_SEED,
     )
 
-    orac = commands.add_parser("oracle", help="exhaustive small-n expectation and spectrum checks")
+    orac = commands.add_parser("oracle", help="exhaustive small-n expectation and spectrum checks", allow_abbrev=False)
     _add_run_flags(orac, with_samples=False)
     orac.set_defaults(func=cmd_oracle, delta=None)
 
     for sub in (cert, orac):
         sub.add_argument("--h", help="analytic function poly:c0,c1,... or exp:s (switches to the dominated spectral mode)")
 
-    # no abbreviations, so that --h is refused here instead of read as --help
     bench = commands.add_parser("bench", help="cost counters against the naive-equivalent figure", allow_abbrev=False)
     _add_run_flags(bench, with_samples=True)
     bench.set_defaults(func=cmd_bench, h=None)

@@ -31,19 +31,16 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+
+import numpy as np
 
 from .functions import BernoulliFunction
 from .sampling import SampleSet, all_ones, pair_product, sample
 
 SCHEMA_VERSION = 1
 NUMERICAL_SLACK = 1e-8
-
-# choose_p warns, and the CLI's --delta mode requires --yes, once the
-# implied pair-evaluation count crosses this.
-PAIR_BUDGET_WARN = 10**6
 
 
 @dataclass(frozen=True)
@@ -142,9 +139,11 @@ class DominatedCertificate:
 
 
 def _exact_sum(values):
-    """Order-independent reduction: exactly rounded, complex-aware."""
-    if any(isinstance(v, complex) for v in values):
-        return complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
+    """Order-independent reduction of a sequence or array of scalars:
+    exactly rounded, complex-aware."""
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        return complex(math.fsum(values.real), math.fsum(values.imag))
     return math.fsum(values)
 
 
@@ -172,17 +171,6 @@ def _pair_sweep(evaluate, samples: SampleSet, threads: int):
     return averages, ones
 
 
-def _check_dimension(fn: BernoulliFunction, samples: SampleSet):
-    if fn.n != samples.n:
-        raise ValueError(f"sample dimension {samples.n} does not match function dimension {fn.n}")
-
-
-def pair_estimate(fn: BernoulliFunction, samples: SampleSet, threads: int = 1) -> tuple[float, float]:
-    """(F, G) pair-product averages over an existing sample set."""
-    _check_dimension(fn, samples)
-    return _pair_sweep(fn.evaluate_with_g, samples, threads)[0]
-
-
 def markov_apriori(c: float, p: int) -> float:
     """Width bound 10c/(2p) that holds with probability >= 0.9 before sampling."""
     if c < 0:
@@ -192,24 +180,15 @@ def markov_apriori(c: float, p: int) -> float:
     return (10.0 * c) / (2.0 * p)
 
 
-def choose_p(lam: float, gamma: float, delta: float, n: int | None = None) -> int:
+def choose_p(lam: float, gamma: float, delta: float) -> int:
     """Smallest p with expected interval width below delta for the
     resolvent trace: the least integer strictly greater than
-    10*lam/(gamma^2*delta).
-
-    Warns when the implied p^2 pair evaluations cross PAIR_BUDGET_WARN,
-    quoting the naive-equivalent count (n+1)*p^2 when n is given.
+    10*lam/(gamma^2*delta). The cost of that p is the caller's to weigh.
     """
     for name, value in (("lam", lam), ("gamma", gamma), ("delta", delta)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be positive and finite, got {value}")
-    p = math.floor(10.0 * lam / (gamma * gamma * delta)) + 1
-    if p * p > PAIR_BUDGET_WARN:
-        message = f"target width {delta} needs p={p}, i.e. {p * p} pair evaluations"
-        if n is not None:
-            message += f" (naive-equivalent {(n + 1) * p * p} function evaluations)"
-        warnings.warn(message, RuntimeWarning, stacklevel=2)
-    return p
+    return math.floor(10.0 * lam / (gamma * gamma * delta)) + 1
 
 
 def certify(fn: BernoulliFunction, p: int, seed: int, threads: int = 1) -> Certificate:
@@ -259,10 +238,11 @@ def certify_dominated(f1: BernoulliFunction, g2: BernoulliFunction, p: int, seed
     whose Walsh coefficients dominate |a_S(f1)| entrywise; both averages
     use the same sample set, so one seed fixes the whole certificate.
     """
+    if g2.n != f1.n:
+        raise ValueError(f"g2 dimension {g2.n} does not match f1 dimension {f1.n}")
     start = time.perf_counter()
     factorizations_before = f1.factorization_count + g2.factorization_count
     samples = sample(p, f1.n, seed)
-    _check_dimension(g2, samples)
     # Two passes, not one fused sweep: fusing f1 and g2 into one loop measured slower (torus:6, p=60).
     (center,), _ = _pair_sweep(lambda eps: (f1.evaluate(eps),), samples, threads)
     (radius,), _ = _pair_sweep(lambda eps: (g2.evaluate(eps),), samples, threads)

@@ -23,7 +23,8 @@ class Graph:
     """Undirected simple graph on vertices 0..n-1.
 
     Instances are immutable (the arrays are marked read-only) and safe to
-    share across threads.
+    share across threads. They compare by identity; compare `adjacency`
+    to compare structure.
     """
 
     n: int
@@ -48,14 +49,6 @@ class Graph:
             raise ValueError("degrees must equal adjacency row sums")
         a.setflags(write=False)
         self.degrees.setflags(write=False)
-
-    def __eq__(self, other):
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.n == other.n and np.array_equal(self.adjacency, other.adjacency)
-
-    def __hash__(self):
-        return hash((self.n, self.adjacency.tobytes()))
 
     @property
     def max_degree(self) -> int:

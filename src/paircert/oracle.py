@@ -11,21 +11,21 @@ transform maps coefficients to values, and the same transform divided
 by 2^n maps values to coefficients.
 
 This module exists for testing, not production, hence the hard budget
-caps with explicit error messages.
+cap with an explicit error message.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .estimator import _exact_sum
 from .functions import BernoulliFunction
 from .sampling import all_ones
 
-ENUMERATION_LIMIT = 24
-SPECTRUM_LIMIT = 16
+# the largest n enumerated: 2^16 evaluations, as `paircert oracle` on torus:4
+ENUMERATION_LIMIT = 16
 
 # enumeration walks sign vectors in blocks this large to bound memory
 _BLOCK = 1 << 14
@@ -64,21 +64,6 @@ class WalshSpectrum:
             raise ValueError(f"need {1 << self.n} coefficients for n={self.n}, got shape {self.coefficients.shape}")
         self.coefficients.setflags(write=False)
 
-    def reconstruct_values(self) -> np.ndarray:
-        """Function values in enumeration order (inverse transform)."""
-        return _fwht(self.coefficients)
-
-    def csv_document(self) -> str:
-        """CSV rows of (mask, coefficient); complex spectra get re/im columns."""
-        coeffs = self.coefficients
-        if np.iscomplexobj(coeffs):
-            lines = ["mask,coefficient_re,coefficient_im"]
-            lines += [f"{mask},{float(c.real)!r},{float(c.imag)!r}" for mask, c in enumerate(coeffs)]
-        else:
-            lines = ["mask,coefficient"]
-            lines += [f"{mask},{float(c)!r}" for mask, c in enumerate(coeffs)]
-        return "\n".join(lines) + "\n"
-
 
 def sign_table(masks: np.ndarray, n: int) -> np.ndarray:
     """Sign vectors for the given mask numbers, one per row, int8."""
@@ -105,9 +90,11 @@ def _fwht(values: np.ndarray) -> np.ndarray:
 
 
 def _enumerate_values(fn: BernoulliFunction) -> np.ndarray:
-    """fn at every sign vector, in enumeration order."""
+    """fn at every sign vector, in enumeration order, within the budget."""
     n = fn.n
     total = 1 << n
+    if n > ENUMERATION_LIMIT:
+        raise BudgetError(f"enumeration at n={n} needs 2^{n} = {total} evaluations; the budget stops at n={ENUMERATION_LIMIT}")
     first = fn.evaluate(all_ones(n))
     values = np.empty(total, dtype=complex if isinstance(first, complex) else float)
     values[0] = first
@@ -122,28 +109,23 @@ def _enumerate_values(fn: BernoulliFunction) -> np.ndarray:
 
 
 def _exact_mean(values: np.ndarray) -> float | complex:
+    total = _exact_sum(values)
     scale = 1.0 / values.shape[0]
-    if np.iscomplexobj(values):
-        return complex(math.fsum(values.real) * scale, math.fsum(values.imag) * scale)
-    return math.fsum(values) * scale
+    # real and imaginary parts scaled apart: complex * float would also
+    # multiply by an imaginary zero, which can flip the sign of a zero part
+    if isinstance(total, complex):
+        return complex(total.real * scale, total.imag * scale)
+    return total * scale
 
 
 def exact_expectation(fn: BernoulliFunction) -> float | complex:
     """E[fn] as the exactly enumerated 2^-n-weighted sum."""
-    if fn.n > ENUMERATION_LIMIT:
-        raise BudgetError(
-            f"exact expectation at n={fn.n} needs 2^{fn.n} = {1 << fn.n} evaluations; the budget stops at n={ENUMERATION_LIMIT}"
-        )
     return _exact_mean(_enumerate_values(fn))
 
 
 def walsh_spectrum(fn: BernoulliFunction) -> WalshSpectrum:
     """All Walsh coefficients of fn. Coefficient 0 is E[fn], exactly
     rounded as in `exact_expectation`, from the same single enumeration."""
-    if fn.n > SPECTRUM_LIMIT:
-        raise BudgetError(
-            f"spectrum at n={fn.n} needs 2^{fn.n} = {1 << fn.n} evaluations; the budget stops at n={SPECTRUM_LIMIT}"
-        )
     values = _enumerate_values(fn)
     coefficients = _fwht(values) / float(values.shape[0])
     coefficients[0] = _exact_mean(values)

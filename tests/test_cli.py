@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import pytest
@@ -179,12 +180,35 @@ def test_bad_delta_exit2(capsys, value):
 
 
 def test_bench_rejects_h_exit2(capsys):
+    # neither subcommand has --h, and it must not be read as --help
+    for argv in (
+        ["bench", "--graph", "torus:3", "--lambda", "1", "--gamma", "1", "--p", "5", "--seed", "1", "--h", "poly:0,0,1"],
+        ["reproduce", "--h", "poly:0,0,1"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--h" in err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["certify", "--graph", "torus:3", "--lam", "1", "--gamma", "1", "--p", "5", "--seed", "1"], "--lambda"),
+        (["oracle", "--graph", "torus:3", "--lam", "1", "--gamma", "1"], "--lambda"),
+        (["reproduce", "--thread", "1"], "--thread"),
+    ],
+    ids=["certify", "oracle", "reproduce"],
+)
+def test_abbreviated_flag_exit2(capsys, argv, named):
     with pytest.raises(SystemExit) as excinfo:
-        main(["bench", "--graph", "torus:3", "--lambda", "1", "--gamma", "1", "--p", "5", "--seed", "1", "--h", "poly:0,0,1"])
+        main(argv)
     assert excinfo.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert "--h" in err
+    assert named in err
 
 
 def test_delta_with_h_exit2_before_quadrature(capsys, monkeypatch):
@@ -235,7 +259,9 @@ def test_bad_h_spec_exit2(capsys):
 
 
 def test_delta_gate_requires_yes(capsys):
-    with pytest.warns(RuntimeWarning):
+    # the preview and the refusal on stderr are the only budget report
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code, _, err = run_cli(
             capsys,
             ["certify", "--graph", "torus:3", "--lambda", "1", "--gamma", "1", "--delta", "0.01", "--seed", "1"],

@@ -4,11 +4,13 @@ import json
 import math
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from paircert import estimator
 from paircert.estimator import (
     NUMERICAL_SLACK,
     SCHEMA_VERSION,
@@ -18,7 +20,6 @@ from paircert.estimator import (
     certify_dominated,
     choose_p,
     markov_apriori,
-    pair_estimate,
 )
 from paircert.functions import (
     AnalyticFunction,
@@ -56,18 +57,17 @@ def test_single_vertex_interval_brackets_exact():
 
 
 def test_constant_function_zero_width():
-    fn = ConstantFunction(6, 1.25)
-    f_bar, g_bar = pair_estimate(fn, sample(4, 6, 9))
-    assert f_bar == 1.25
-    assert g_bar == 0.0
     cert = certify(ConstantFunction(6, 1.25), 4, 9)
+    assert cert.f_bar == 1.25
+    assert cert.g_bar == 0.0
     assert cert.upper - cert.lower == pytest.approx(2 * NUMERICAL_SLACK, abs=1e-15)
 
 
 def test_pair_estimate_matches_full_double_sum(torus3_params):
     fn = ResolventTraceFunction(torus3_params)
     s = sample(6, 9, 77)
-    f_bar, g_bar = pair_estimate(fn, s)
+    cert = certify(fn, 6, 77)
+    f_bar, g_bar = cert.f_bar, cert.g_bar
     f_terms = []
     g_terms = []
     for i in range(6):
@@ -82,18 +82,17 @@ def test_pair_estimate_matches_full_double_sum(torus3_params):
 def test_order_invariance_exact(torus3_params):
     fn = ResolventTraceFunction(torus3_params)
     s = sample(7, 9, 3)
-    base = pair_estimate(fn, s)
+    base = estimator._pair_sweep(fn.evaluate_with_g, s, 1)
     rng = np.random.default_rng(0)
     for _ in range(3):
         perm = rng.permutation(7)
         shuffled = SampleSet(p=7, n=9, signs=s.signs[perm].copy(), seed=3)
-        assert pair_estimate(fn, shuffled) == base
+        assert estimator._pair_sweep(fn.evaluate_with_g, shuffled, 1) == base
 
 
 def test_thread_count_invariance(torus3_params):
     fn = ResolventTraceFunction(torus3_params)
-    s = sample(9, 9, 8)
-    results = {pair_estimate(fn, s, threads=t) for t in (1, 2, 5, 16)}
+    results = {json.dumps(certify(fn, 9, 8, threads=t).to_json_dict()) for t in (1, 2, 5, 16)}
     assert len(results) == 1
 
 
@@ -114,11 +113,11 @@ def test_pair_sweep_submits_one_task_per_extra_block(monkeypatch, torus3_params)
     s = sample(9, 9, 8)
     for threads in (2, 5, 16):
         submitted.clear()
-        pair_estimate(ResolventTraceFunction(torus3_params), s, threads=threads)
+        estimator._pair_sweep(ResolventTraceFunction(torus3_params).evaluate_with_g, s, threads)
         assert len(submitted) <= min(threads, s.p - 1) - 1
 
     submitted.clear()
-    pair_estimate(RecordingResolvent(torus3_params), s, threads=1)
+    estimator._pair_sweep(RecordingResolvent(torus3_params).evaluate_with_g, s, 1)
     assert submitted == []
     assert callers == [threading.get_ident()] * (9 * 8 // 2 + 1)
 
@@ -153,8 +152,7 @@ def test_markov_apriori_values():
 
 
 def test_choose_p_frozen_values():
-    with pytest.warns(RuntimeWarning):
-        assert choose_p(1.0, 1.0, 0.01) == 1001
+    assert choose_p(1.0, 1.0, 0.01) == 1001
     assert choose_p(1.0, 1.0, 1 / 3) == 31
     assert choose_p(2.0, 1.0, 1.0) == 21
 
@@ -174,8 +172,10 @@ def test_choose_p_minimality():
 
 
 def test_choose_p_warns_on_large_budget():
-    with pytest.warns(RuntimeWarning, match="1002001"):
-        choose_p(1.0, 1.0, 0.01, n=225)
+    # the budget (p^2 = 1002001 here) is the CLI's to report; choose_p stays silent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert choose_p(1.0, 1.0, 0.01) == 1001
     with pytest.raises(ValueError):
         choose_p(0.0, 1.0, 0.1)
     with pytest.raises(ValueError):
@@ -271,9 +271,10 @@ def test_dominated_certificate(torus3, torus3_params):
 
 
 def test_dimension_mismatch(torus3_params):
-    fn = ResolventTraceFunction(torus3_params)
+    f1 = ResolventTraceFunction(torus3_params)
+    g2 = ConstantFunction(8, 1.0)
     with pytest.raises(ValueError, match="dimension"):
-        pair_estimate(fn, sample(3, 8, 0))
+        certify_dominated(f1, g2, 3, 0)
 
 
 def test_dominated_single_vertex_constant():

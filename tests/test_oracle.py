@@ -75,7 +75,7 @@ def test_fwht_matches_slow_transform(seed):
 
 def test_round_trip_resolvent(torus3_params):
     spec = walsh_spectrum(ResolventTraceFunction(torus3_params))
-    values = spec.reconstruct_values()
+    values = _fwht(spec.coefficients)
     np.testing.assert_allclose(values, _enumerate_values(ResolventTraceFunction(torus3_params)), atol=1e-10)
 
 
@@ -163,6 +163,8 @@ def test_budget_errors():
         exact_expectation(ConstantFunction(25, 1.0))
     with pytest.raises(BudgetError, match="131072"):
         walsh_spectrum(ConstantFunction(17, 1.0))
+    with pytest.raises(BudgetError, match="131072"):
+        exact_expectation(ConstantFunction(17, 1.0))
 
 
 def test_complex_valued_function():
@@ -179,24 +181,6 @@ def test_complex_valued_function():
         check_domination(bound, spec, 1e-12)
     dominated = check_domination(spec, walsh_spectrum(LambdaFunction(2, lambda e: 1.0 + 0.5 * float(e[0]))), 1e-12)
     assert not dominated.ok  # |i| = 1 > 0.5 at mask 0b01
-
-
-def test_csv_document():
-    spec = walsh_spectrum(LambdaFunction(2, lambda e: 0.5 + float(e[0] * e[1])))
-    text = spec.csv_document()
-    lines = text.strip().split("\n")
-    assert lines[0] == "mask,coefficient"
-    assert len(lines) == 5
-    mask, value = lines[4].split(",")
-    assert int(mask) == 3
-    assert float(value) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_csv_document_complex():
-    spec = walsh_spectrum(LambdaFunction(1, lambda e: complex(1.0, float(e[0]))))
-    lines = spec.csv_document().strip().split("\n")
-    assert lines[0] == "mask,coefficient_re,coefficient_im"
-    assert len(lines) == 3
 
 
 def test_spectrum_immutable(torus3_params):
