@@ -51,7 +51,7 @@ from .oracle import (
     exact_expectation,
     walsh_spectrum,
 )
-from .sampling import MAX_SIGNS, SampleSet, all_ones, flip, pair_product, sample, splitmix64
+from .sampling import MAX_SIGNS, all_ones, flip, pair_product, sample, splitmix64
 
 __version__ = "0.1.0"
 
@@ -74,7 +74,6 @@ __all__ = [
     "ResolventParams",
     "ResolventTraceFunction",
     "SCHEMA_VERSION",
-    "SampleSet",
     "ScaledFunction",
     "SpectralTraceFunction",
     "WalshSpectrum",

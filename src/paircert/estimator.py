@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import BernoulliFunction
-from .sampling import SampleSet, all_ones, pair_product, sample
+from .sampling import all_ones, sample
 
 SCHEMA_VERSION = 1
 NUMERICAL_SLACK = 1e-8
@@ -147,20 +147,21 @@ def _exact_sum(values):
     return math.fsum(values)
 
 
-def _pair_sweep(evaluate, samples: SampleSet, threads: int):
-    """Per-component pair-product averages of evaluate(eps) -> tuple, from
-    p(p-1)/2 + 1 evaluations, and the values at all-ones.
+def _pair_sweep(evaluate, signs: np.ndarray, threads: int):
+    """Per-component pair-product averages of evaluate(eps) -> tuple over the
+    rows of a (p, n) sign table, from p(p-1)/2 + 1 evaluations, and the
+    values at all-ones.
 
     The rows i of the pair triangle are split into `threads` interleaved
     blocks. The calling thread sweeps block 0 and the pool the others, so a
     sweep submits at most threads - 1 tasks, and none at threads=1.
     """
-    p = samples.p
-    ones = evaluate(all_ones(samples.n))
+    p, n = signs.shape
+    ones = evaluate(all_ones(n))
 
     def rows(first):
         # rows first, first + threads, ...: about p^2/(2*threads) pairs
-        return [evaluate(pair_product(samples, i, j)) for i in range(first, p, threads) for j in range(i + 1, p)]
+        return [evaluate(eps) for i in range(first, p, threads) for eps in signs[i] * signs[i + 1:]]
 
     # only rows 0..p-2 hold pairs
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -200,8 +201,8 @@ def certify(fn: BernoulliFunction, p: int, seed: int, threads: int = 1) -> Certi
     """
     start = time.perf_counter()
     factorizations_before = fn.factorization_count
-    samples = sample(p, fn.n, seed)
-    (f_bar, g_bar), (_, g_one) = _pair_sweep(fn.evaluate_with_g, samples, threads)
+    signs = sample(p, fn.n, seed)
+    (f_bar, g_bar), (_, g_one) = _pair_sweep(fn.evaluate_with_g, signs, threads)
     wall_ms = (time.perf_counter() - start) * 1e3
 
     # expected_width is derived from markov_90_width by division so the
@@ -242,10 +243,10 @@ def certify_dominated(f1: BernoulliFunction, g2: BernoulliFunction, p: int, seed
         raise ValueError(f"g2 dimension {g2.n} does not match f1 dimension {f1.n}")
     start = time.perf_counter()
     factorizations_before = f1.factorization_count + g2.factorization_count
-    samples = sample(p, f1.n, seed)
+    signs = sample(p, f1.n, seed)
     # Two passes, not one fused sweep: fusing f1 and g2 into one loop measured slower (torus:6, p=60).
-    (center,), _ = _pair_sweep(lambda eps: (f1.evaluate(eps),), samples, threads)
-    (radius,), _ = _pair_sweep(lambda eps: (g2.evaluate(eps),), samples, threads)
+    (center,), _ = _pair_sweep(lambda eps: (f1.evaluate(eps),), signs, threads)
+    (radius,), _ = _pair_sweep(lambda eps: (g2.evaluate(eps),), signs, threads)
     wall_ms = (time.perf_counter() - start) * 1e3
     counters = EvalCounters(
         evaluations=p * (p - 1) // 2 + 1,

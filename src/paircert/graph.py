@@ -1,10 +1,10 @@
 """Finite graphs stored dense, and their Laplacians.
 
-A graph is a vertex count together with a symmetric 0/1 adjacency matrix
-(zero diagonal) and the integer degree sequence. The Laplacian A - D_G is
-assembled in integer arithmetic and cast to float once, so its row sums
-are exactly zero. Everything here is sized for dense factorization
-downstream; sparse storage is deliberately out of scope.
+A graph is its symmetric 0/1 adjacency matrix (zero diagonal) alone; the
+vertex count and the integer degree sequence are read from it. The
+Laplacian A - D_G is assembled in integer arithmetic and cast to float
+once, so its row sums are exactly zero. Everything here is sized for dense
+factorization downstream; sparse storage is deliberately out of scope.
 """
 
 from __future__ import annotations
@@ -22,21 +22,17 @@ class EdgeListError(ValueError):
 class Graph:
     """Undirected simple graph on vertices 0..n-1.
 
-    Instances are immutable (the arrays are marked read-only) and safe to
+    Instances are immutable (the adjacency is marked read-only) and safe to
     share across threads. They compare by identity; compare `adjacency`
     to compare structure.
     """
 
-    n: int
-    adjacency: np.ndarray  # (n, n) int64, symmetric, 0/1, zero diagonal
-    degrees: np.ndarray  # (n,) int64, row sums of adjacency
+    adjacency: np.ndarray  # (n, n) integer, symmetric, 0/1, zero diagonal
 
     def __post_init__(self):
         a = self.adjacency
-        if self.n < 1:
-            raise ValueError("graph needs at least one vertex")
-        if a.shape != (self.n, self.n):
-            raise ValueError(f"adjacency shape {a.shape} does not match n={self.n}")
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+            raise ValueError(f"adjacency must be a square matrix with at least one vertex, got shape {a.shape}")
         if not np.issubdtype(a.dtype, np.integer):
             raise ValueError("adjacency must be an integer array")
         if np.any((a != 0) & (a != 1)):
@@ -45,24 +41,20 @@ class Graph:
             raise ValueError("adjacency must have zero diagonal")
         if not np.array_equal(a, a.T):
             raise ValueError("adjacency must be symmetric")
-        if not np.array_equal(self.degrees, a.sum(axis=1)):
-            raise ValueError("degrees must equal adjacency row sums")
         a.setflags(write=False)
-        self.degrees.setflags(write=False)
+
+    @property
+    def n(self) -> int:
+        return self.adjacency.shape[0]
+
+    @property
+    def degrees(self) -> np.ndarray:
+        """(n,) row sums of the adjacency."""
+        return self.adjacency.sum(axis=1)
 
     @property
     def max_degree(self) -> int:
         return int(self.degrees.max())
-
-    @property
-    def edge_count(self) -> int:
-        return int(self.adjacency.sum()) // 2
-
-
-def _graph_from_adjacency(adjacency: np.ndarray) -> Graph:
-    adjacency = np.ascontiguousarray(adjacency, dtype=np.int64)
-    degrees = adjacency.sum(axis=1)
-    return Graph(n=adjacency.shape[0], adjacency=adjacency, degrees=degrees)
 
 
 def build_torus_cayley(m: int) -> Graph:
@@ -82,7 +74,7 @@ def build_torus_cayley(m: int) -> Graph:
             for da, db in ((1, 0), (m - 1, 0), (0, 1), (0, m - 1)):
                 j = ((a + da) % m) * m + (b + db) % m
                 adjacency[i, j] = 1
-    return _graph_from_adjacency(adjacency)
+    return Graph(adjacency)
 
 
 def from_edge_list(text: str) -> Graph:
@@ -130,7 +122,7 @@ def from_edge_list(text: str) -> Graph:
             raise EdgeListError(f"line {lineno}: loop edge {u}-{v} not allowed")
         adjacency[u, v] = 1
         adjacency[v, u] = 1
-    return _graph_from_adjacency(adjacency)
+    return Graph(adjacency)
 
 
 def laplacian(graph: Graph) -> np.ndarray:

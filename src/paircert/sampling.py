@@ -12,13 +12,11 @@ bit for bit from (seed, p, n):
     sign = +1 if the top bit of output is 0, else -1
 
 Entries signs[i][k] consume the stream row-major: i (sample index) outer,
-k (coordinate) inner. Signs are stored as int8 and all products are
-computed in integer arithmetic, never floating point.
+k (coordinate) inner. A sign table is a read-only (rows, n) int8 array, and
+all products are computed in integer arithmetic, never floating point.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,23 +26,6 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 
 # Dense int8 sample arrays; p*n beyond this is rejected up front.
 MAX_SIGNS = 2**31
-
-
-@dataclass(frozen=True, eq=False)
-class SampleSet:
-    """p rows of n signs plus the seed that regenerates them."""
-
-    p: int
-    n: int
-    signs: np.ndarray  # (p, n) int8 over {-1, +1}
-    seed: int
-
-    def __post_init__(self):
-        if self.signs.shape != (self.p, self.n):
-            raise ValueError(f"signs shape {self.signs.shape} does not match (p={self.p}, n={self.n})")
-        if self.signs.dtype != np.int8:
-            raise ValueError("signs must be int8")
-        self.signs.setflags(write=False)
 
 
 def splitmix64(seed: int, count: int) -> np.ndarray:
@@ -59,8 +40,8 @@ def splitmix64(seed: int, count: int) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def sample(p: int, n: int, seed: int) -> SampleSet:
-    """Generate the p x n sign array for (seed, p, n).
+def sample(p: int, n: int, seed: int) -> np.ndarray:
+    """The read-only (p, n) int8 sign array for (seed, p, n).
 
     Deterministic and platform independent; calling twice with the same
     arguments yields bit-identical arrays.
@@ -72,14 +53,16 @@ def sample(p: int, n: int, seed: int) -> SampleSet:
     raw = splitmix64(seed, p * n)
     top = (raw >> np.uint64(63)).astype(np.int8)
     signs = (1 - 2 * top).reshape(p, n)
-    return SampleSet(p=p, n=n, signs=signs, seed=seed)
+    signs.setflags(write=False)
+    return signs
 
 
-def pair_product(s: SampleSet, i: int, j: int) -> np.ndarray:
-    """Componentwise product of rows i and j (int8; exact)."""
-    if not (0 <= i < s.p and 0 <= j < s.p):
-        raise IndexError(f"row indices ({i}, {j}) out of range for p={s.p}")
-    return s.signs[i] * s.signs[j]
+def pair_product(signs: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Componentwise product of rows i and j of a sign table (int8; exact)."""
+    p = signs.shape[0]
+    if not (0 <= i < p and 0 <= j < p):
+        raise IndexError(f"row indices ({i}, {j}) out of range for p={p}")
+    return signs[i] * signs[j]
 
 
 def flip(v: np.ndarray, r: int) -> np.ndarray:

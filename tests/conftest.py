@@ -38,7 +38,7 @@ def random_connected_graph(rng: np.random.Generator, n: int, extra_edge_prob: fl
         for v in range(u + 1, n):
             if extras[u, v] and adjacency[u, v] == 0:
                 adjacency[u, v] = adjacency[v, u] = 1
-    return Graph(n=n, adjacency=adjacency, degrees=adjacency.sum(axis=1))
+    return Graph(adjacency)
 
 
 def random_signs(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -46,7 +46,7 @@ def random_signs(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def single_vertex_graph() -> Graph:
-    return Graph(n=1, adjacency=np.zeros((1, 1), dtype=np.int64), degrees=np.zeros(1, dtype=np.int64))
+    return Graph(np.zeros((1, 1), dtype=np.int64))
 
 
 def single_vertex_resolvent(lam: float = 1.0, gamma: float = 1.0) -> ResolventTraceFunction:

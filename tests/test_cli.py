@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -101,6 +102,24 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     )
     assert code == 0
     assert target.read_text(encoding="utf-8") == out
+
+
+@pytest.mark.parametrize(
+    "command, out",
+    [
+        (["certify", "--p", "3", "--seed", "2"], "missing/x.json"),
+        (["oracle"], "."),
+    ],
+)
+def test_unwritable_out_exit2_before_run(tmp_path, capsys, command, out):
+    # a missing parent directory, or a directory itself, is refused at the flag
+    argv = [*command, "--graph", "torus:3", "--lambda", "1", "--gamma", "1", "--out", str(tmp_path / out)]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert captured.out == ""
+    assert "--out" in captured.err
 
 
 def test_single_vertex_interval(tmp_path, capsys):
@@ -282,6 +301,17 @@ def test_delta_small_runs_without_yes(capsys):
     assert doc["config"]["delta"] == 1.0
     assert "p=11" in err
     assert "estimated" in err
+
+
+def test_delta_preview_close_to_wall():
+    # the preview times the fastest of three calls; one cold call overstated the run several times
+    argv = ["certify", "--graph", "torus:3", "--lambda", "1", "--gamma", "1", "--delta", "0.05", "--seed", "4", "--threads", "1"]
+    run = _run_subprocess(argv)
+    assert run.returncode == 0
+    err = run.stderr.decode()
+    estimated = float(re.search(r"estimated ([0-9.]+)s", err).group(1))
+    wall_s = float(re.search(r"wall ([0-9.]+) ms", err).group(1)) / 1e3
+    assert estimated <= 3 * wall_s
 
 
 def test_reproduce_fields(capsys):

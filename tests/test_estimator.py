@@ -31,7 +31,7 @@ from paircert.functions import (
 )
 from paircert.graph import build_torus_cayley, laplacian
 from paircert.oracle import exact_expectation
-from paircert.sampling import SampleSet, all_ones, pair_product, sample
+from paircert.sampling import all_ones, pair_product, sample
 
 from conftest import ConstantFunction, single_vertex_resolvent
 
@@ -86,8 +86,20 @@ def test_order_invariance_exact(torus3_params):
     rng = np.random.default_rng(0)
     for _ in range(3):
         perm = rng.permutation(7)
-        shuffled = SampleSet(p=7, n=9, signs=s.signs[perm].copy(), seed=3)
+        shuffled = s[perm]
         assert estimator._pair_sweep(fn.evaluate_with_g, shuffled, 1) == base
+
+
+def test_pair_sweep_matches_pair_product_loop(torus3_params):
+    # reference: one checked pair_product per pair, reduced with math.fsum
+    fn = ResolventTraceFunction(torus3_params)
+    s = sample(8, 9, 21)
+    p = len(s)
+    ones = fn.evaluate_with_g(all_ones(9))
+    pairs = [fn.evaluate_with_g(pair_product(s, i, j)) for i in range(p) for j in range(i + 1, p)]
+    expected = tuple((p * one + 2.0 * math.fsum(v[k] for v in pairs)) / (p * p) for k, one in enumerate(ones))
+    for threads in (1, 3):
+        assert estimator._pair_sweep(fn.evaluate_with_g, s, threads) == (expected, ones)
 
 
 def test_thread_count_invariance(torus3_params):
@@ -114,7 +126,7 @@ def test_pair_sweep_submits_one_task_per_extra_block(monkeypatch, torus3_params)
     for threads in (2, 5, 16):
         submitted.clear()
         estimator._pair_sweep(ResolventTraceFunction(torus3_params).evaluate_with_g, s, threads)
-        assert len(submitted) <= min(threads, s.p - 1) - 1
+        assert len(submitted) <= min(threads, len(s) - 1) - 1
 
     submitted.clear()
     estimator._pair_sweep(RecordingResolvent(torus3_params).evaluate_with_g, s, 1)
