@@ -4,14 +4,15 @@ Subcommands: `certify` (enclosure for one graph and disorder), `reproduce`
 (the fixed flagship run with its reference bracket), `oracle` (exhaustive
 small-n checks), `bench` (cost counters).
 
-Output contract: stdout carries exactly one JSON document, and --out
-writes the same bytes to a file; the human-readable report, including
-measured wall time, goes to stderr. JSON content is independent of
---threads. Its last bits can differ across BLAS builds, CPUs and
-OPENBLAS_NUM_THREADS, since they come from LAPACK.
+Each subcommand returns (document, report lines, ok). `main` is the one
+writer and the one exit-code map: it prints one JSON document on stdout,
+the same bytes in --out, then the report, with wall time, on stderr.
+Only the --delta cost preview, which must precede the run, comes
+earlier. JSON content is independent of --threads; its last bits come
+from LAPACK and can differ by BLAS build, CPU and OPENBLAS_NUM_THREADS.
 
-Exit codes: 0 success, 1 numerical or reproduction failure, 2 usage or
-configuration error (including oracle budget refusals).
+Exit codes: 0 success, 1 numerical failure, unwritable --out or failed
+verdict, 2 usage or configuration error (including budget refusals).
 """
 
 from __future__ import annotations
@@ -53,10 +54,6 @@ ORACLE_TOL = 1e-10
 PAIR_BUDGET_WARN = 10**6
 
 
-class UsageError(ValueError):
-    """Bad flag combination or unusable configuration."""
-
-
 def _parse_seed(text: str) -> int:
     try:
         value = int(text, 16) if text.lower().startswith("0x") else int(text, 10)
@@ -73,16 +70,16 @@ def _load_graph(spec: str) -> Graph:
         try:
             m = int(rest)
         except ValueError:
-            raise UsageError(f"torus side {rest!r} is not an integer") from None
+            raise ValueError(f"torus side {rest!r} is not an integer") from None
         return build_torus_cayley(m)
     if kind == "edges" and rest:
         try:
             with open(rest, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise UsageError(f"cannot read edge list {rest!r}: {exc}") from None
+            raise ValueError(f"cannot read edge list {rest!r}: {exc}") from None
         return from_edge_list(text)
-    raise UsageError(f"unknown graph spec {spec!r}; expected torus:M or edges:PATH")
+    raise ValueError(f"unknown graph spec {spec!r}; expected torus:M or edges:PATH")
 
 
 def _config_json(args: argparse.Namespace, graph: Graph, p: int | None) -> dict:
@@ -101,27 +98,7 @@ def _config_json(args: argparse.Namespace, graph: Graph, p: int | None) -> dict:
     return doc
 
 
-def _emit(doc: dict, out_path: str | None):
-    text = json.dumps(doc, indent=2) + "\n"
-    sys.stdout.write(text)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _report(lines):
-    print("\n".join(lines), file=sys.stderr)
-
-
-def _graph_and_params(args: argparse.Namespace) -> tuple[Graph, ResolventParams]:
-    graph = _load_graph(args.graph)
-    try:
-        return graph, ResolventParams(args.lam, args.gamma, laplacian(graph))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
-def _certify_resolvent(args: argparse.Namespace, graph: Graph, params: ResolventParams):
+def _certify_resolvent(args: argparse.Namespace, params: ResolventParams):
     """(p, certificate) for the resolvent trace, p from --p, or from --delta
     with a cost preview and the --yes gate."""
     fn = ResolventTraceFunction(params)
@@ -132,12 +109,13 @@ def _certify_resolvent(args: argparse.Namespace, graph: Graph, params: Resolvent
         # fastest of three calls: a cold first call runs several times slower than the sweep's calls
         ones = all_ones(fn.n)
         per_eval = min(timeit.repeat(lambda: fn.evaluate_with_g(ones), number=1, repeat=3))
-        _report([
+        print(
             f"target width {args.delta}: p={p}, {evaluations} combined evaluations,"
-            f" estimated {per_eval * evaluations:.1f}s"
-        ])
+            f" estimated {per_eval * evaluations:.1f}s",
+            file=sys.stderr,
+        )
         if p * p > PAIR_BUDGET_WARN and not args.yes:
-            raise UsageError(f"p={p} implies {p * p} pair evaluations (> {PAIR_BUDGET_WARN}); pass --yes to proceed")
+            raise ValueError(f"p={p} implies {p * p} pair evaluations (> {PAIR_BUDGET_WARN}); pass --yes to proceed")
     return p, certify(fn, p, args.seed, threads=args.threads)
 
 
@@ -154,13 +132,10 @@ def _counters_line(counters: EvalCounters) -> str:
     return f"evaluations {counters.evaluations}, factorizations {counters.factorizations}, wall {counters.wall_ms:.1f} ms"
 
 
-def cmd_certify(args: argparse.Namespace) -> int:
-    graph, params = _graph_and_params(args)
-
+def cmd_certify(args: argparse.Namespace, graph: Graph, params: ResolventParams) -> tuple[dict, list[str], bool]:
     if args.h is None:
-        p, cert = _certify_resolvent(args, graph, params)
-        _emit(_certificate_doc(args, graph, p, cert), args.out)
-        _report([
+        p, cert = _certify_resolvent(args, params)
+        lines = [
             f"{args.graph}: n={graph.n}, max degree {graph.max_degree}",
             f"lambda={args.lam:g} gamma={args.gamma:g} p={p} seed={args.seed} threads={args.threads}",
             f"E[f] in [{cert.lower!r}, {cert.upper!r}]  (width {cert.width:.4e})",
@@ -168,48 +143,46 @@ def cmd_certify(args: argparse.Namespace) -> int:
             f" realized within markov: {'yes' if cert.realized_within_markov else 'NO'}",
             f"a-priori width from c={cert.c_bound:g}: {cert.c_markov_width:.4e}",
             _counters_line(cert.counters),
-        ])
-        return 0
+        ]
+        if cert.width >= abs(cert.f_bar):
+            lines.append(f"warning: vacuous enclosure: width {cert.width:.4e} is at least |f_bar| = {abs(cert.f_bar):.4e}")
+        return _certificate_doc(args, graph, p, cert), lines, True
 
     if args.delta is not None:
         # choose_p prices the resolvent width 10*lam/(gamma^2*delta), which ignores kappa
-        raise UsageError("--delta picks p for the resolvent trace only; with --h, give --p")
+        raise ValueError("--delta picks p for the resolvent trace only; with --h, give --p")
     h = AnalyticFunction.from_spec(args.h)
     f1, f2 = dominating_resolvent_scale(h, params, graph)
     cert = certify_dominated(f1, GFunction(f2), args.p, args.seed, threads=args.threads)
-    _emit(_certificate_doc(args, graph, args.p, cert), args.out)
-    _report([
+    lines = [
         f"{args.graph}: n={graph.n}, max degree {graph.max_degree}, h={h.name}",
         f"lambda={args.lam:g} gamma={args.gamma:g} p={args.p} seed={args.seed} threads={args.threads}",
         f"E[f1] within {cert.radius!r} of ({cert.center.real!r}, {cert.center.imag!r}i)",
         _counters_line(cert.counters),
-    ])
-    return 0
+    ]
+    if cert.radius >= abs(cert.center):
+        lines.append(f"warning: vacuous disc: radius {cert.radius:.4e} is at least |center| = {abs(cert.center):.4e}")
+    return _certificate_doc(args, graph, args.p, cert), lines, True
 
 
-def cmd_reproduce(args: argparse.Namespace) -> int:
-    graph, params = _graph_and_params(args)
-    p, cert = _certify_resolvent(args, graph, params)
-
+def cmd_reproduce(args: argparse.Namespace, graph: Graph, params: ResolventParams) -> tuple[dict, list[str], bool]:
+    p, cert = _certify_resolvent(args, params)
     ref_lower, ref_upper = REPRODUCE_BRACKET
     intersects = cert.lower <= ref_upper and cert.upper >= ref_lower
     doc = _certificate_doc(args, graph, p, cert)
     doc["reference"] = {"lower": ref_lower, "upper": ref_upper, "intersects": intersects}
-    _emit(doc, args.out)
-    _report([
+    lines = [
         f"flagship run: {args.graph} (n={graph.n}), lambda=1 gamma=1 p={p} seed={args.seed}",
         f"certified E[f] in [{cert.lower!r}, {cert.upper!r}]",
         f"reference bracket [{ref_lower}, {ref_upper}]: intersection {'nonempty' if intersects else 'EMPTY'}",
         _counters_line(cert.counters),
-    ])
+    ]
     if not intersects:
-        print("error: certified interval misses the reference bracket; both provably contain E[f], so this is a bug", file=sys.stderr)
-        return 1
-    return 0
+        lines.append("error: certified interval misses the reference bracket; both provably contain E[f], so this is a bug")
+    return doc, lines, intersects
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
-    graph, params = _graph_and_params(args)
+def cmd_oracle(args: argparse.Namespace, graph: Graph, params: ResolventParams) -> tuple[dict, list[str], bool]:
     doc = {"schema_version": SCHEMA_VERSION, "config": _config_json(args, graph, None), "tol": ORACLE_TOL}
 
     if args.h is None:
@@ -222,14 +195,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             "min_coefficient_mask": verdict.mask,
             "nonnegative": verdict.ok,
         })
-        _emit(doc, args.out)
-        _report([
+        return doc, [
             f"{args.graph}: n={graph.n}, 2^n = {1 << graph.n} evaluations per pass",
             f"exact E[f] = {exact!r}",
             f"min Walsh coefficient {verdict.value!r} at mask {verdict.mask} (subset {verdict.subset()})",
             f"nonnegative at tol {ORACLE_TOL:g}: {'yes' if verdict.ok else 'NO'}",
-        ])
-        return 0 if verdict.ok else 1
+        ], verdict.ok
 
     h = AnalyticFunction.from_spec(args.h)
     f1, f2 = dominating_resolvent_scale(h, params, graph)
@@ -243,20 +214,16 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "max_domination_excess_mask": verdict.mask,
         "dominated": verdict.ok,
     })
-    _emit(doc, args.out)
-    _report([
+    return doc, [
         f"{args.graph}: n={graph.n}, h={h.name}",
         f"exact E[f1] = {exact1.real!r} + {exact1.imag!r}i",
         f"worst |a_S| - b_S = {verdict.value!r} at mask {verdict.mask} (subset {verdict.subset()})",
         f"dominated at tol {ORACLE_TOL:g}: {'yes' if verdict.ok else 'NO'}",
-    ])
-    return 0 if verdict.ok else 1
+    ], verdict.ok
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    graph, params = _graph_and_params(args)
-    p, cert = _certify_resolvent(args, graph, params)
-
+def cmd_bench(args: argparse.Namespace, graph: Graph, params: ResolventParams) -> tuple[dict, list[str], bool]:
+    p, cert = _certify_resolvent(args, params)
     naive_equivalent = (graph.n + 1) * p * p
     speedup = naive_equivalent / cert.counters.factorizations
     doc = {
@@ -266,18 +233,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "naive_equivalent_evaluations": naive_equivalent,
         "speedup_ratio": speedup,
     }
-    _emit(doc, args.out)
-    _report([
+    return doc, [
         f"{args.graph}: n={graph.n}, p={p}",
         _counters_line(cert.counters),
         f"naive-equivalent f evaluations: (n+1)p^2 = {naive_equivalent}",
         f"speedup from pair symmetry and the rank-one flip sweep: {speedup:.1f}x",
-    ])
-    return 0
+    ], True
 
 
 def _out_path(text: str) -> str:
-    """Refuse, before the run, an --out path that is a directory or lies in a missing one."""
+    """Refuse, before the run, an --out path that is empty, is a directory or lies in a missing one."""
+    if not text:
+        raise argparse.ArgumentTypeError("the path is empty")
     if os.path.isdir(text):
         raise argparse.ArgumentTypeError(f"{text!r} is a directory")
     if not os.path.isdir(os.path.dirname(text) or "."):
@@ -351,20 +318,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (FactorizationError, QuadratureError) as exc:
+        graph = _load_graph(args.graph)
+        doc, lines, ok = args.func(args, graph, ResolventParams(args.lam, args.gamma, laplacian(graph)))
+        text = json.dumps(doc, indent=2) + "\n"
+        sys.stdout.write(text)
+        if args.out is not None:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except (FactorizationError, QuadratureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         # usage and configuration problems, including oracle budget refusals
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    print("\n".join(lines), file=sys.stderr)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ import pytest
 from paircert import cli
 from paircert.cli import main
 from paircert.estimator import NUMERICAL_SLACK
+from paircert.oracle import CheckResult
 
 NUMBER = {"type": "number"}
 
@@ -109,11 +110,13 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     [
         (["certify", "--p", "3", "--seed", "2"], "missing/x.json"),
         (["oracle"], "."),
+        (["certify", "--p", "3", "--seed", "2"], ""),
     ],
 )
 def test_unwritable_out_exit2_before_run(tmp_path, capsys, command, out):
-    # a missing parent directory, or a directory itself, is refused at the flag
-    argv = [*command, "--graph", "torus:3", "--lambda", "1", "--gamma", "1", "--out", str(tmp_path / out)]
+    # a missing parent directory, a directory itself, or an empty path is refused at the flag
+    path = str(tmp_path / out) if out else ""
+    argv = [*command, "--graph", "torus:3", "--lambda", "1", "--gamma", "1", "--out", path]
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     captured = capsys.readouterr()
@@ -333,6 +336,44 @@ def test_reproduce_fields(capsys):
     assert doc["reference"]["upper"] == 0.2030
     assert doc["reference"]["intersects"] is True
     assert "flagship" in err
+
+
+def test_reproduce_miss_exit1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "REPRODUCE_BRACKET", (0.3, 0.4))
+    code, out, err = run_cli(capsys, ["reproduce"])
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["reference"]["intersects"] is False
+    assert "misses the reference bracket" in err.splitlines()[-1]
+
+
+def test_oracle_failed_check_exit1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "check_nonnegative", lambda spectrum, tol: CheckResult(ok=False, mask=1, value=-1.0))
+    code, out, err = run_cli(capsys, ["oracle", "--graph", "torus:3", "--lambda", "1", "--gamma", "1"])
+    assert code == 1
+    assert json.loads(out)["nonnegative"] is False
+    assert "NO" in err
+
+
+@pytest.mark.parametrize(
+    "argv, warns",
+    [
+        (["--graph", "torus:3", "--lambda", "4", "--gamma", "0.5", "--p", "1"], True),
+        (["--graph", "torus:3", "--lambda", "1", "--gamma", "1", "--p", "30", "--h", "exp:3"], True),
+        (["--graph", "torus:15", "--lambda", "1", "--gamma", "1", "--p", "30"], False),
+    ],
+    ids=["interval", "disc", "flagship"],
+)
+def test_vacuity_warning(tmp_path, capsys, argv, warns):
+    # width >= |f_bar| or radius >= |center| adds a last stderr line;
+    # stdout, --out and the exit code stay as they were
+    target = tmp_path / "cert.json"
+    code, out, err = run_cli(capsys, ["certify", *argv, "--seed", "1", "--out", str(target)])
+    assert code == 0
+    assert target.read_text(encoding="utf-8") == out
+    assert "warning" not in out
+    assert err.splitlines()[-1].startswith("warning: vacuous") == warns
+    assert ("warning" in err) == warns
 
 
 def test_bench_fields(capsys):
