@@ -37,6 +37,7 @@ from .functions import (
     QuadratureError,
     ResolventParams,
     ResolventTraceFunction,
+    block_rows,
     dominating_resolvent_scale,
 )
 from .graph import Graph, build_torus_cayley, from_edge_list, laplacian
@@ -106,9 +107,9 @@ def _certify_resolvent(args: argparse.Namespace, params: ResolventParams):
     if p is None:
         p = choose_p(args.lam, args.gamma, args.delta)
         evaluations = p * (p - 1) // 2 + 1
-        # fastest of three calls: a cold first call runs several times slower than the sweep's calls
-        ones = all_ones(fn.n)
-        per_eval = min(timeit.repeat(lambda: fn.evaluate_with_g(ones), number=1, repeat=3))
+        # fastest of three calls on a block as the sweep forms them: a cold call or a lone row overstates the run
+        table = all_ones(fn.n)[None].repeat(min(block_rows(fn.n), evaluations), axis=0)
+        per_eval = min(timeit.repeat(lambda: fn.evaluate_block_with_g(table), number=1, repeat=3)) / len(table)
         print(
             f"target width {args.delta}: p={p}, {evaluations} combined evaluations,"
             f" estimated {per_eval * evaluations:.1f}s",

@@ -18,9 +18,10 @@ When f itself may have signed or complex coefficients but a second
 function g2 with nonnegative coefficients dominates it coefficientwise,
 |F_1 - E[f_1]| <= G_2 realizationwise: a disk certificate.
 
-All pair sums are reduced with math.fsum, which returns the exactly
-rounded sum. The result is therefore identical for any evaluation order,
-thread count, or chunking, which is what makes certificates byte-stable.
+Pairs are evaluated in chunks of block_rows(n), and a value's bits do not
+depend on its chunk. All pair sums are reduced with math.fsum, which returns
+the exactly rounded sum, so certificates are byte-stable under any
+evaluation order, thread count, or chunking.
 
 A small additive slack (NUMERICAL_SLACK) widens every reported interval
 to absorb floating-point error in the evaluations themselves; the
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import BernoulliFunction
+from .functions import BernoulliFunction, FactorizationError, block_rows
 from .sampling import all_ones, sample
 
 SCHEMA_VERSION = 1
@@ -147,28 +148,35 @@ def _exact_sum(values):
     return math.fsum(values)
 
 
-def _pair_sweep(evaluate, signs: np.ndarray, threads: int):
-    """Per-component pair-product averages of evaluate(eps) -> tuple over the
-    rows of a (p, n) sign table, from p(p-1)/2 + 1 evaluations, and the
-    values at all-ones.
+def _pair_sweep(evaluate_block, signs: np.ndarray, threads: int):
+    """Per-component pair-product averages of evaluate_block(table) -> tuple
+    of arrays over the rows of a (p, n) sign table, from p(p-1)/2 + 1
+    evaluations, and the values at all-ones.
 
     The rows i of the pair triangle are split into `threads` interleaved
     blocks. The calling thread sweeps block 0 and the pool the others, so a
-    sweep submits at most threads - 1 tasks, and none at threads=1.
+    sweep submits at most threads - 1 tasks, and none at threads=1. Each
+    block evaluates the products of its rows in chunks of block_rows(n).
     """
     p, n = signs.shape
-    ones = evaluate(all_ones(n))
+    size = block_rows(n)
+    ones = tuple(v[0].item() for v in evaluate_block(all_ones(n)[None]))
 
-    def rows(first):
-        # rows first, first + threads, ...: about p^2/(2*threads) pairs
-        return [evaluate(eps) for i in range(first, p, threads) for eps in signs[i] * signs[i + 1:]]
+    def sweep(first):
+        # rows first, first + threads, ...: about p^2/(2*threads) pairs; only rows 0..p-2 hold pairs
+        values, pending = [], signs[:0]
+        for i in range(first, p - 1, threads):
+            pending = np.concatenate([pending, signs[i] * signs[i + 1:]])
+            while len(pending) >= size:
+                values.append(evaluate_block(pending[:size]))
+                pending = pending[size:]
+        return values + [evaluate_block(pending)] if len(pending) else values
 
-    # only rows 0..p-2 hold pairs
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        others = [pool.submit(rows, k) for k in range(1, min(threads, p - 1))]
-        values = rows(0) + [v for job in others for v in job.result()]
+        others = [pool.submit(sweep, k) for k in range(1, min(threads, p - 1))]
+        values = sweep(0) + [v for job in others for v in job.result()]
     square = float(p) * float(p)
-    averages = tuple((p * one + 2.0 * _exact_sum([v[k] for v in values])) / square for k, one in enumerate(ones))
+    averages = tuple((p * one + 2.0 * _exact_sum(np.concatenate([np.empty(0)] + [v[k] for v in values]))) / square for k, one in enumerate(ones))
     return averages, ones
 
 
@@ -202,8 +210,11 @@ def certify(fn: BernoulliFunction, p: int, seed: int, threads: int = 1) -> Certi
     start = time.perf_counter()
     factorizations_before = fn.factorization_count
     signs = sample(p, fn.n, seed)
-    (f_bar, g_bar), (_, g_one) = _pair_sweep(fn.evaluate_with_g, signs, threads)
+    (f_bar, g_bar), (_, g_one) = _pair_sweep(fn.evaluate_block_with_g, signs, threads)
     wall_ms = (time.perf_counter() - start) * 1e3
+    lower, upper = f_bar - g_bar - NUMERICAL_SLACK, f_bar + NUMERICAL_SLACK
+    if not lower <= upper:
+        raise FactorizationError(f"numerical breakdown: g_bar={g_bar!r} leaves the empty interval [{lower!r}, {upper!r}]")
 
     # expected_width is derived from markov_90_width by division so the
     # 10x relation holds exactly in floating point, not only symbolically.
@@ -218,8 +229,8 @@ def certify(fn: BernoulliFunction, p: int, seed: int, threads: int = 1) -> Certi
     return Certificate(
         f_bar=f_bar,
         g_bar=g_bar,
-        lower=f_bar - g_bar - NUMERICAL_SLACK,
-        upper=f_bar + NUMERICAL_SLACK,
+        lower=lower,
+        upper=upper,
         p=p,
         seed=seed,
         g_at_ones=g_one,
@@ -245,12 +256,15 @@ def certify_dominated(f1: BernoulliFunction, g2: BernoulliFunction, p: int, seed
     factorizations_before = f1.factorization_count + g2.factorization_count
     signs = sample(p, f1.n, seed)
     # Two passes, not one fused sweep: fusing f1 and g2 into one loop measured slower (torus:6, p=60).
-    (center,), _ = _pair_sweep(lambda eps: (f1.evaluate(eps),), signs, threads)
-    (radius,), _ = _pair_sweep(lambda eps: (g2.evaluate(eps),), signs, threads)
+    (center,), _ = _pair_sweep(lambda table: (f1.evaluate_block(table),), signs, threads)
+    (radius,), _ = _pair_sweep(lambda table: (g2.evaluate_block(table),), signs, threads)
     wall_ms = (time.perf_counter() - start) * 1e3
+    radius = float(radius) + NUMERICAL_SLACK
+    if not radius >= 0.0:
+        raise FactorizationError(f"numerical breakdown: the computed radius {radius!r} is negative")
     counters = EvalCounters(
         evaluations=p * (p - 1) // 2 + 1,
         factorizations=f1.factorization_count + g2.factorization_count - factorizations_before,
         wall_ms=wall_ms,
     )
-    return DominatedCertificate(center=center, radius=float(radius) + NUMERICAL_SLACK, p=p, seed=seed, counters=counters)
+    return DominatedCertificate(center=center, radius=radius, p=p, seed=seed, counters=counters)

@@ -85,30 +85,22 @@ def from_edge_list(text: str) -> Graph:
     decimal; LF or CRLF both fine; blank lines are skipped; duplicate
     edges are ignored. Errors name the offending 1-based line number.
     """
-    lines = text.splitlines()
-    header_line = None
-    n = None
-    for lineno, raw in enumerate(lines, start=1):
-        if raw.strip() == "":
-            continue
-        header_line = lineno
-        tokens = raw.split()
-        if len(tokens) != 1:
-            raise EdgeListError(f"line {lineno}: expected a single vertex count, got {raw!r}")
-        try:
-            n = int(tokens[0])
-        except ValueError:
-            raise EdgeListError(f"line {lineno}: vertex count {tokens[0]!r} is not an integer") from None
-        if n < 1:
-            raise EdgeListError(f"line {lineno}: vertex count must be positive, got {n}")
-        break
-    if n is None:
+    numbered = [(lineno, raw) for lineno, raw in enumerate(text.splitlines(), start=1) if raw.strip() != ""]
+    if not numbered:
         raise EdgeListError("empty document: missing vertex count line")
+    (lineno, raw), edges = numbered[0], numbered[1:]
+    tokens = raw.split()
+    if len(tokens) != 1:
+        raise EdgeListError(f"line {lineno}: expected a single vertex count, got {raw!r}")
+    try:
+        n = int(tokens[0])
+    except ValueError:
+        raise EdgeListError(f"line {lineno}: vertex count {tokens[0]!r} is not an integer") from None
+    if n < 1:
+        raise EdgeListError(f"line {lineno}: vertex count must be positive, got {n}")
 
     adjacency = np.zeros((n, n), dtype=np.int64)
-    for lineno, raw in enumerate(lines, start=1):
-        if lineno <= header_line or raw.strip() == "":
-            continue
+    for lineno, raw in edges:
         tokens = raw.split()
         if len(tokens) != 2:
             raise EdgeListError(f"line {lineno}: expected 'u v', got {raw!r}")

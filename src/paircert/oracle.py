@@ -21,14 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import _exact_sum
-from .functions import BernoulliFunction
-from .sampling import all_ones
+from .functions import BernoulliFunction, block_rows
 
 # the largest n enumerated: 2^16 evaluations, as `paircert oracle` on torus:4
 ENUMERATION_LIMIT = 16
-
-# enumeration walks sign vectors in blocks this large to bound memory
-_BLOCK = 1 << 14
 
 
 class BudgetError(ValueError):
@@ -95,17 +91,11 @@ def _enumerate_values(fn: BernoulliFunction) -> np.ndarray:
     total = 1 << n
     if n > ENUMERATION_LIMIT:
         raise BudgetError(f"enumeration at n={n} needs 2^{n} = {total} evaluations; the budget stops at n={ENUMERATION_LIMIT}")
-    first = fn.evaluate(all_ones(n))
-    values = np.empty(total, dtype=complex if isinstance(first, complex) else float)
-    values[0] = first
-    for start in range(0, total, _BLOCK):
-        masks = np.arange(start, min(start + _BLOCK, total), dtype=np.uint32)
-        table = sign_table(masks, n)
-        for row, mask in enumerate(masks):
-            if mask == 0:
-                continue
-            values[mask] = fn.evaluate(table[row])
-    return values
+    size = block_rows(n)
+    return np.concatenate([
+        fn.evaluate_block(sign_table(np.arange(start, min(start + size, total), dtype=np.uint32), n))
+        for start in range(0, total, size)
+    ])
 
 
 def _exact_mean(values: np.ndarray) -> float | complex:

@@ -7,6 +7,7 @@ import sys
 import warnings
 
 import jsonschema
+import numpy as np
 import pytest
 
 from paircert import cli
@@ -447,6 +448,27 @@ def test_bench_p1_single_factorization(capsys):
     assert doc["counters"]["evaluations"] == 1
     assert doc["counters"]["factorizations"] == 1
     assert doc["naive_equivalent_evaluations"] == 10
+
+
+def test_bench_counts_one_factorization_per_evaluation(capsys):
+    # blocks of sign vectors count one factorization per row, as single calls did
+    code, out, _ = run_cli(capsys, ["bench", "--graph", "torus:3", "--lambda", "1", "--gamma", "1", "--p", "6", "--seed", "3"])
+    assert code == 0
+    assert json.loads(out)["counters"] == {"evaluations": 16, "factorizations": 16, "wall_ms": None}
+
+
+def test_numerical_breakdown_exit1(capsys, monkeypatch):
+    # a negative flip half-sum empties the interval: a numerical failure, not bad input
+    class BrokenResolvent(cli.ResolventTraceFunction):
+        def evaluate_block_with_g(self, table):
+            f, g = super().evaluate_block_with_g(table)
+            return f, np.full_like(g, -1.0)
+
+    monkeypatch.setattr(cli, "ResolventTraceFunction", BrokenResolvent)
+    code, out, err = run_cli(capsys, ["certify", "--graph", "torus:3", "--lambda", "1", "--gamma", "1", "--p", "5", "--seed", "7"])
+    assert code == 1
+    assert out == ""
+    assert "numerical breakdown" in err
 
 
 def test_oracle_spectral(capsys):

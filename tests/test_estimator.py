@@ -23,6 +23,7 @@ from paircert.estimator import (
 )
 from paircert.functions import (
     AnalyticFunction,
+    FactorizationError,
     GFunction,
     ResolventParams,
     ResolventTraceFunction,
@@ -82,12 +83,12 @@ def test_pair_estimate_matches_full_double_sum(torus3_params):
 def test_order_invariance_exact(torus3_params):
     fn = ResolventTraceFunction(torus3_params)
     s = sample(7, 9, 3)
-    base = estimator._pair_sweep(fn.evaluate_with_g, s, 1)
+    base = estimator._pair_sweep(fn.evaluate_block_with_g, s, 1)
     rng = np.random.default_rng(0)
     for _ in range(3):
         perm = rng.permutation(7)
         shuffled = s[perm]
-        assert estimator._pair_sweep(fn.evaluate_with_g, shuffled, 1) == base
+        assert estimator._pair_sweep(fn.evaluate_block_with_g, shuffled, 1) == base
 
 
 def test_pair_sweep_matches_pair_product_loop(torus3_params):
@@ -99,7 +100,7 @@ def test_pair_sweep_matches_pair_product_loop(torus3_params):
     pairs = [fn.evaluate_with_g(pair_product(s, i, j)) for i in range(p) for j in range(i + 1, p)]
     expected = tuple((p * one + 2.0 * math.fsum(v[k] for v in pairs)) / (p * p) for k, one in enumerate(ones))
     for threads in (1, 3):
-        assert estimator._pair_sweep(fn.evaluate_with_g, s, threads) == (expected, ones)
+        assert estimator._pair_sweep(fn.evaluate_block_with_g, s, threads) == (expected, ones)
 
 
 def test_thread_count_invariance(torus3_params):
@@ -117,21 +118,22 @@ def test_pair_sweep_submits_one_task_per_extra_block(monkeypatch, torus3_params)
             return super().submit(*args, **kwargs)
 
     class RecordingResolvent(ResolventTraceFunction):
-        def evaluate_with_g(self, eps):
-            callers.append(threading.get_ident())
-            return super().evaluate_with_g(eps)
+        def evaluate_block_with_g(self, table):
+            callers.append((threading.get_ident(), len(table)))
+            return super().evaluate_block_with_g(table)
 
     monkeypatch.setattr("paircert.estimator.ThreadPoolExecutor", CountingPool)
     s = sample(9, 9, 8)
     for threads in (2, 5, 16):
         submitted.clear()
-        estimator._pair_sweep(ResolventTraceFunction(torus3_params).evaluate_with_g, s, threads)
+        estimator._pair_sweep(ResolventTraceFunction(torus3_params).evaluate_block_with_g, s, threads)
         assert len(submitted) <= min(threads, len(s) - 1) - 1
 
     submitted.clear()
-    estimator._pair_sweep(RecordingResolvent(torus3_params).evaluate_with_g, s, 1)
+    estimator._pair_sweep(RecordingResolvent(torus3_params).evaluate_block_with_g, s, 1)
     assert submitted == []
-    assert callers == [threading.get_ident()] * (9 * 8 // 2 + 1)
+    # all-ones, then the 36 pairs in one chunk: block_rows(9) holds them all
+    assert callers == [(threading.get_ident(), 1), (threading.get_ident(), 9 * 8 // 2)]
 
 
 def test_sandwich_small_sweep(torus3_params, torus3_exact):
@@ -280,6 +282,12 @@ def test_dominated_certificate(torus3, torus3_params):
         assert cert.counters.evaluations == 20 * 19 // 2 + 1
         doc = cert.to_json_dict()
         assert set(doc) == {"schema_version", "center_re", "center_im", "radius", "p", "seed", "counters"}
+
+
+def test_negative_radius_is_a_numerical_failure(torus3, torus3_params):
+    f1 = dominating_resolvent_scale(AnalyticFunction.polynomial([0.0, 0.0, 1.0]), torus3_params, torus3)[0]
+    with pytest.raises(FactorizationError, match="radius"):
+        certify_dominated(f1, ConstantFunction(9, -1.0), 3, 0)
 
 
 def test_dimension_mismatch(torus3_params):

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import json
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 from scipy.special import i0
 
+from paircert import estimator
 from paircert.functions import (
+    BLOCK_MAX_N,
     AnalyticFunction,
     AttestationError,
     FactorizationError,
@@ -14,12 +20,13 @@ from paircert.functions import (
     ResolventTraceFunction,
     ScaledFunction,
     SpectralTraceFunction,
+    block_rows,
     contour_norm_integral,
     dominating_resolvent_scale,
     naive_g,
 )
 from paircert.graph import build_torus_cayley, laplacian
-from paircert.sampling import all_ones, flip
+from paircert.sampling import all_ones, flip, sample
 
 from conftest import (
     ConstantFunction,
@@ -300,3 +307,113 @@ def test_eq4_per_coordinate_bound(torus3):
             base = fn.evaluate(eps)
             for r in range(9):
                 assert abs(base - fn.evaluate(flip(eps, r))) <= bound + 1e-10
+
+
+def _pair_table(p: int, n: int, seed: int) -> np.ndarray:
+    signs = sample(p, n, seed)
+    return np.concatenate([signs[i] * signs[i + 1:] for i in range(p - 1)])
+
+
+@pytest.mark.parametrize("side", [3, 4, 5])
+def test_block_matches_single_vectors_for_any_split(monkeypatch, side):
+    # n = 9 and 16 run the stacked kernel, n = 25 one dpotrf/dpotri per row;
+    # one row at a time is the k = 1 case of either
+    params = ResolventParams(1.5, 0.75, laplacian(build_torus_cayley(side)))
+    n = side * side
+    fn = ResolventTraceFunction(params)
+    table = _pair_table(12, n, 5)
+    single = [fn.evaluate_with_g(eps) for eps in table]
+    f_single = np.array([f for f, _ in single])
+    g_single = np.array([g for _, g in single])
+    assert np.array_equal(np.array([fn.evaluate(eps) for eps in table]), f_single)
+    for size in (1, 3, len(table)):
+        parts = [fn.evaluate_block_with_g(table[at:at + size]) for at in range(0, len(table), size)]
+        assert np.array_equal(np.concatenate([f for f, _ in parts]), f_single)
+        assert np.array_equal(np.concatenate([g for _, g in parts]), g_single)
+        assert np.array_equal(np.concatenate([fn.evaluate_block(table[at:at + size]) for at in range(0, len(table), size)]), f_single)
+
+    ones = fn.evaluate_with_g(all_ones(n))
+    expected = tuple((12 * one + 2.0 * math.fsum(v)) / 144.0 for one, v in zip(ones, (f_single, g_single)))
+    signs = sample(12, n, 5)
+    documents = set()
+    for rows in (lambda _: 1, lambda _: 3, block_rows):
+        monkeypatch.setattr(estimator, "block_rows", rows)
+        for threads in (1, 3):
+            assert estimator._pair_sweep(fn.evaluate_block_with_g, signs, threads) == (expected, ones)
+            cert = estimator.certify(ResolventTraceFunction(params), 12, 5, threads=threads)
+            documents.add(json.dumps(cert.to_json_dict()))
+    assert len(documents) == 1
+
+
+def _lapack_reference(params: ResolventParams, eps: np.ndarray) -> tuple[float, float]:
+    """(f, g) from one dpotrf + dpotri and the rank-one flip sweep, per matrix,
+    in the arithmetic of the one-call-per-vector kernel."""
+    n, lam = params.n, params.lam
+    m = (lam + params.gamma) * np.eye(n) - params.laplacian
+    m[np.diag_indices(n)] -= lam * eps
+    factor, info = lapack.dpotrf(m, lower=1)
+    assert info == 0
+    lower, info = lapack.dpotri(factor, lower=1)
+    assert info == 0
+    inv = lower + lower.T
+    inv[np.diag_indices(n)] = np.diagonal(lower)
+    col_sq = (inv * inv).sum(axis=0)
+    g = (lam / n) * float(np.sum(eps * col_sq / (1.0 + 2.0 * lam * eps * np.diagonal(lower))))
+    return float(np.trace(lower)) / n, g
+
+
+@pytest.mark.parametrize("side", [3, 4, 5])
+def test_block_kernel_accuracy_against_lapack(side):
+    # the stacked kernel (n <= 16) within set tolerances; above it, the same bits
+    n = side * side
+    for lam, gamma in ((1.0, 1.0), (1.5, 0.75), (4.0, 0.5)):
+        params = ResolventParams(lam, gamma, laplacian(build_torus_cayley(side)))
+        table = _pair_table(10, n, 17)
+        f, g = ResolventTraceFunction(params).evaluate_block_with_g(table)
+        reference = np.array([_lapack_reference(params, eps) for eps in table])
+        if n > BLOCK_MAX_N:
+            assert f.tolist() == reference[:, 0].tolist() and g.tolist() == reference[:, 1].tolist()
+        np.testing.assert_allclose(f, reference[:, 0], rtol=1e-14, atol=0)
+        np.testing.assert_allclose(g, reference[:, 1], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("side", [3, 6])
+def test_stacked_eigvalsh_matches_per_row(side):
+    params = ResolventParams(1.0, 1.0, laplacian(build_torus_cayley(side)))
+    n = side * side
+    table = _pair_table(8, n, 3)
+    for h in (AnalyticFunction.polynomial([0.0, 0.0, 1.0]), AnalyticFunction.exp_scaled(0.25), AnalyticFunction.polynomial([0.0, 1j])):
+        fn = SpectralTraceFunction(h, params)
+        block = fn.evaluate_block(table)
+        per_row = []
+        for eps in table:
+            op = -params.laplacian - params.lam * np.diag(eps.astype(float))
+            per_row.append(np.mean(h(np.linalg.eigvalsh(op))).item())
+        assert block.tolist() == per_row
+        assert [fn.evaluate(eps) for eps in table] == per_row
+
+
+@pytest.mark.parametrize("n", [4, BLOCK_MAX_N + 4])
+def test_block_with_one_indefinite_matrix_fails(n):
+    # M = (lam + gamma - 2.5 - lam*eps_i) on the diagonal: positive only where eps_i = -1
+    fn = ResolventTraceFunction(ResolventParams(1.0, 1.0, 2.5 * np.eye(n)))
+    table = -np.ones((3, n), dtype=np.int8)
+    table[1, 0] = 1
+    assert fn.evaluate_block(table[[0, 2]]) == pytest.approx([2.0, 2.0], rel=1e-15)
+    for method in (fn.evaluate_block, fn.evaluate_block_with_g):
+        with pytest.raises(FactorizationError):
+            method(table)
+
+
+@pytest.mark.parametrize("side", [3, 5])
+def test_factorization_count_grows_by_block_rows(side):
+    params = ResolventParams(1.0, 1.0, laplacian(build_torus_cayley(side)))
+    table = _pair_table(6, side * side, 2)
+    for fn in (ResolventTraceFunction(params), SpectralTraceFunction(AnalyticFunction.polynomial([0.0, 0.0, 1.0]), params)):
+        fn.evaluate_block(table)
+        assert fn.factorization_count == len(table)
+        fn.evaluate_block(table[:4])
+        assert fn.factorization_count == len(table) + 4
+    fn = ResolventTraceFunction(params)
+    fn.evaluate_block_with_g(table[:5])
+    assert fn.factorization_count == 5
