@@ -24,11 +24,15 @@ O(n^3) inverse then covers all n flips in O(n^2) total, instead of n+1
 separate factorizations. `naive_g` keeps the n+1-evaluation definition
 as the reference implementation for any function.
 
-Functions also take a (k, n) sign table at once. Up to BLOCK_MAX_N, where
-call overhead outweighs arithmetic, the resolvent stacks one Cholesky M =
-L L^T per row: X = L^-1 gives Tr M^-1 = ||X||_F^2 and M^-1 = X^T X. Above
-it each row takes dpotrf and dpotri, and the spectral trace stacks eigvalsh
-at every n. One vector is the k = 1 case, so no value depends on the split.
+Functions also take a (k, n) sign table at once. The resolvent assembles
+the (k, n, n) stack of M(eps) once. Up to BLOCK_MAX_N, where call overhead
+outweighs arithmetic, one stacked Cholesky M = L L^T follows: X = L^-1
+gives Tr M^-1 = ||X||_F^2 and M^-1 = X^T X. Above it each matrix of the
+stack is inverted in place by dpotrf and dpotri, and the lower triangle is
+mirrored into the full inverse. One tail then reads the diagonal and the
+column norms of M^-1 and sums the flips, whichever kernel ran. The spectral
+trace stacks eigvalsh at every n. One vector is the k = 1 case, so no value
+depends on the split.
 """
 
 from __future__ import annotations
@@ -49,8 +53,8 @@ QUADRATURE_START_NODES = 64
 QUADRATURE_RTOL = 1e-10
 QUADRATURE_NODE_CAP = 1 << 20
 
-# Largest n for the stacked resolvent kernel: per matrix at k=100, one BLAS thread, f alone
-# took 5.1 us stacked vs 8.9 us by dpotrf/dpotri at n=16, but 15.3 vs 10.0 us at n=25.
+# Largest n for the stacked resolvent kernel: per matrix at k=100, one BLAS thread, (f, g)
+# took 11-16 us stacked vs 18 us by dpotrf/dpotri at n=16, but 31-48 vs 19-26 us at n=25.
 BLOCK_MAX_N = 16
 BLOCK_ENTRIES = 1 << 15
 
@@ -118,7 +122,8 @@ class BernoulliFunction:
     """Deterministic real- or complex-valued function on {-1,+1}^n.
 
     Subclasses implement `evaluate` or `evaluate_block`, which a (k, n) sign
-    table takes to an array; each defaults to the other. `evaluate_with_g`
+    table takes to an array; each defaults to the other, so a subclass with
+    neither cannot be instantiated. `evaluate_with_g`
     defaults to the naive n+1-evaluation flip half-sum and should be
     overridden when a cheaper combined path exists; `evaluate_block_with_g`
     loops over it. Evaluations are pure and may run concurrently.
@@ -127,6 +132,9 @@ class BernoulliFunction:
     def __init__(self, n: int):
         if n < 1:
             raise ValueError(f"dimension must be positive, got {n}")
+        cls = type(self)
+        if cls.evaluate is BernoulliFunction.evaluate and cls.evaluate_block is BernoulliFunction.evaluate_block:
+            raise TypeError(f"{cls.__name__} must implement evaluate or evaluate_block")
         self.n = n
         self._factorizations = _Counter()
 
@@ -179,55 +187,41 @@ class ResolventTraceFunction(BernoulliFunction):
         self._base = (params.lam + params.gamma) * np.eye(self.n) - params.laplacian
         self._diag = np.diag_indices(self.n)
 
-    def _inverse(self, eps: np.ndarray) -> np.ndarray:
-        """Exactly tril(M(eps)^-1): dpotrf zeroes the strict upper triangle of
-        its factor (scipy's default clean=1) and dpotri writes only the lower
-        triangle. No pivoted fallback: a dpotrf failure means the positivity
-        guarantee was violated upstream."""
-        m = self._base.copy()
-        m[self._diag] -= self.params.lam * eps
-        factor, info = lapack.dpotrf(m, lower=1)
-        if info != 0:
-            raise FactorizationError(f"Cholesky factorization failed (dpotrf info={info}); matrix is not positive definite")
-        lower, info = lapack.dpotri(factor, lower=1)
-        if info != 0:
-            raise FactorizationError(f"inverse from Cholesky factor failed (dpotri info={info})")
-        self._factorizations.add(1)
-        return lower
-
     def _block(self, table: np.ndarray, with_g: bool) -> tuple[np.ndarray, np.ndarray | None]:
-        """(f, g or None) over the rows of a sign table."""
+        """(f, g or None) over the rows of a sign table. No pivoted fallback: a
+        failed Cholesky means the positivity guarantee was violated upstream."""
         table = np.asarray(table)
         self._require_dimension(table)
         lam, n, k = self.params.lam, self.n, len(table)
-        if n > BLOCK_MAX_N:
-            # one matrix at a time: a stack of them would only hold memory
-            f, diag, col_sq = np.empty(k), np.empty((k, n)), np.empty((k, n))
-            for row, eps in enumerate(table):
-                lower = self._inverse(eps)
-                f[row], diag[row] = np.trace(lower) / n, np.diagonal(lower)
-                if with_g:
-                    inverse = lower + lower.T
-                    inverse[self._diag] = diag[row]  # the sum above doubled the diagonal
-                    col_sq[row] = (inverse * inverse).sum(axis=0)  # (M^-2)_rr, columns of a symmetric inverse
-        else:
-            m = np.broadcast_to(self._base, (k, n, n)).copy()
-            m[(slice(None), *self._diag)] -= lam * table
+        m = np.broadcast_to(self._base, (k, n, n)).copy()
+        m[(slice(None), *self._diag)] -= lam * table
+        if n <= BLOCK_MAX_N:
             try:
                 x = np.linalg.inv(np.linalg.cholesky(m))  # X = L^-1 for M = L L^T
             except np.linalg.LinAlgError:
                 raise FactorizationError("stacked Cholesky factorization failed; a matrix is not positive definite") from None
             self._factorizations.add(k)
             f = (x * x).reshape(k, -1).sum(axis=1) / n  # Tr M^-1 = ||X||_F^2
-            if with_g:
-                inverse = np.matmul(x.transpose(0, 2, 1), x)  # M^-1 = X^T X
-                diag, col_sq = np.diagonal(inverse, axis1=1, axis2=2), (inverse * inverse).sum(axis=1)
+            inverse = np.matmul(x.transpose(0, 2, 1), x) if with_g else None  # M^-1 = X^T X
+        else:
+            for a in m:  # one matrix at a time, inverted in place: a.T is its Fortran-ordered view
+                factor, info = lapack.dpotrf(a.T, lower=1, overwrite_a=1)  # clean=1 zeroes the strict upper triangle
+                if info != 0:
+                    raise FactorizationError(f"Cholesky factorization failed (dpotrf info={info}); matrix is not positive definite")
+                lower, info = lapack.dpotri(factor, lower=1, overwrite_c=1)  # writes the lower triangle only
+                if info != 0:
+                    raise FactorizationError(f"inverse from Cholesky factor failed (dpotri info={info})")
+                self._factorizations.add(1)
+                np.add(lower, lower.T, out=a)  # numpy buffers the overlap of lower.T with a
+                a[self._diag] *= 0.5  # the sum doubled the diagonal; halving it back is exact
+            f, inverse = np.trace(m, axis1=1, axis2=2) / n, m
         if not with_g:
             return f, None
-        denom = 1.0 + 2.0 * lam * table * diag
+        denom = 1.0 + 2.0 * lam * table * np.diagonal(inverse, axis1=1, axis2=2)
         if np.any(denom <= 0.0):
             # impossible for a valid SPD pair; flags a corrupted inverse
             raise FactorizationError("rank-one update denominator is not positive")
+        col_sq = np.square(inverse, out=inverse).sum(axis=1)  # (M^-2)_rr by symmetry; in place, once denom read the diagonal
         return f, (lam / n) * (table * col_sq / denom).sum(axis=1)
 
     def evaluate_with_g(self, eps: np.ndarray) -> tuple[float, float]:
@@ -270,6 +264,8 @@ class AnalyticFunction:
         coeffs = [complex(c) if isinstance(c, complex) else float(c) for c in coefficients]
         if not coeffs:
             raise ValueError("polynomial needs at least one coefficient")
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError(f"polynomial coefficients must be finite, got {coeffs}")
         name = "poly:" + ",".join(format(c, "g") for c in coeffs)
         return AnalyticFunction(name=name, evaluator=lambda z: np.polynomial.polynomial.polyval(z, coeffs), attested=True)
 
@@ -277,6 +273,8 @@ class AnalyticFunction:
     def exp_scaled(s: float) -> "AnalyticFunction":
         """h(z) = exp(s*z)."""
         s = float(s)
+        if not math.isfinite(s):
+            raise ValueError(f"exponential scale must be finite, got {s}")
         return AnalyticFunction(name=f"exp:{s:g}", evaluator=lambda z: np.exp(s * z), attested=True)
 
     @staticmethod
@@ -286,13 +284,13 @@ class AnalyticFunction:
         if kind == "poly" and rest:
             try:
                 return AnalyticFunction.polynomial([float(tok) for tok in rest.split(",")])
-            except ValueError:
-                raise ValueError(f"bad polynomial coefficients in {text!r}") from None
+            except ValueError as exc:
+                raise ValueError(f"bad polynomial coefficients in {text!r}: {exc}") from None
         if kind == "exp" and rest:
             try:
                 return AnalyticFunction.exp_scaled(float(rest))
-            except ValueError:
-                raise ValueError(f"bad exponential scale in {text!r}") from None
+            except ValueError as exc:
+                raise ValueError(f"bad exponential scale in {text!r}: {exc}") from None
         raise ValueError(f"unknown analytic function spec {text!r}; expected poly:c0,c1,... or exp:s")
 
 

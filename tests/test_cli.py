@@ -281,6 +281,19 @@ def test_bad_h_spec_exit2(capsys):
     assert "analytic" in err
 
 
+@pytest.mark.parametrize("spec", ["exp:nan", "exp:inf", "poly:inf", "poly:nan,1"])
+@pytest.mark.parametrize("command", ["certify", "oracle"])
+def test_non_finite_h_parameter_exit2(capsys, command, spec):
+    # bad input, not a numerical breakdown: exp:1000 is finite and still exits 1 at the contour
+    argv = [command, "--graph", "torus:3", "--lambda", "1", "--gamma", "1", "--h", spec]
+    if command == "certify":
+        argv += ["--p", "4", "--seed", "1"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert spec in err
+
+
 def test_delta_gate_requires_yes(capsys):
     # the preview and the refusal on stderr are the only budget report
     with warnings.catch_warnings():

@@ -12,6 +12,7 @@ from paircert import estimator
 from paircert.functions import (
     BLOCK_MAX_N,
     AnalyticFunction,
+    BernoulliFunction,
     AttestationError,
     FactorizationError,
     GFunction,
@@ -84,7 +85,6 @@ def test_fast_g_matches_naive(torus3_params):
     for _ in range(50):
         eps = random_signs(rng, 9)
         f_fast, g_fast = fn.evaluate_with_g(eps)
-        # evaluate reads the inverse's lower triangle, evaluate_with_g a symmetric copy
         assert fn.evaluate(eps) == f_fast
         g_ref = naive_g(fn, eps)
         assert g_fast == pytest.approx(g_ref, rel=1e-9, abs=0)
@@ -159,10 +159,21 @@ def test_analytic_from_spec():
     assert e.attested
 
 
-@pytest.mark.parametrize("text", ["poly:", "exp:", "exp:a", "sin:1", "poly:1;2", "", "poly"])
+@pytest.mark.parametrize(
+    "text", ["poly:", "exp:", "exp:a", "sin:1", "poly:1;2", "", "poly", "exp:nan", "exp:inf", "poly:inf", "poly:nan,1"]
+)
 def test_analytic_from_spec_rejects(text):
     with pytest.raises(ValueError):
         AnalyticFunction.from_spec(text)
+
+
+def test_subclass_without_evaluation_method_is_refused():
+    # evaluate and evaluate_block default to each other; with neither they would recurse
+    class Empty(BernoulliFunction):
+        pass
+
+    with pytest.raises(TypeError, match="evaluate or evaluate_block"):
+        Empty(3)
 
 
 def test_attestation_required(torus3_params, torus3):
@@ -314,11 +325,12 @@ def _pair_table(p: int, n: int, seed: int) -> np.ndarray:
     return np.concatenate([signs[i] * signs[i + 1:] for i in range(p - 1)])
 
 
-@pytest.mark.parametrize("side", [3, 4, 5])
+@pytest.mark.parametrize("side", [3, 4, 5, 6])
 def test_block_matches_single_vectors_for_any_split(monkeypatch, side):
-    # n = 9 and 16 run the stacked kernel, n = 25 one dpotrf/dpotri per row;
+    # n = 9 and 16 run the stacked kernel, n = 25 and 36 one dpotrf/dpotri per row;
     # one row at a time is the k = 1 case of either
-    params = ResolventParams(1.5, 0.75, laplacian(build_torus_cayley(side)))
+    graph = build_torus_cayley(side)
+    params = ResolventParams(1.5, 0.75, laplacian(graph))
     n = side * side
     fn = ResolventTraceFunction(params)
     table = _pair_table(12, n, 5)
@@ -335,14 +347,18 @@ def test_block_matches_single_vectors_for_any_split(monkeypatch, side):
     ones = fn.evaluate_with_g(all_ones(n))
     expected = tuple((12 * one + 2.0 * math.fsum(v)) / 144.0 for one, v in zip(ones, (f_single, g_single)))
     signs = sample(12, n, 5)
-    documents = set()
+    h = AnalyticFunction.polynomial([0.0, 0.0, 1.0])
+    documents, dominated = set(), set()
     for rows in (lambda _: 1, lambda _: 3, block_rows):
         monkeypatch.setattr(estimator, "block_rows", rows)
         for threads in (1, 3):
             assert estimator._pair_sweep(fn.evaluate_block_with_g, signs, threads) == (expected, ones)
             cert = estimator.certify(ResolventTraceFunction(params), 12, 5, threads=threads)
             documents.add(json.dumps(cert.to_json_dict()))
-    assert len(documents) == 1
+            f1, f2 = dominating_resolvent_scale(h, params, graph)
+            cert = estimator.certify_dominated(f1, GFunction(f2), 12, 5, threads=threads)
+            dominated.add(json.dumps(cert.to_json_dict()))
+    assert len(documents) == len(dominated) == 1
 
 
 def _lapack_reference(params: ResolventParams, eps: np.ndarray) -> tuple[float, float]:
@@ -362,7 +378,7 @@ def _lapack_reference(params: ResolventParams, eps: np.ndarray) -> tuple[float, 
     return float(np.trace(lower)) / n, g
 
 
-@pytest.mark.parametrize("side", [3, 4, 5])
+@pytest.mark.parametrize("side", [3, 4, 5, 6])
 def test_block_kernel_accuracy_against_lapack(side):
     # the stacked kernel (n <= 16) within set tolerances; above it, the same bits
     n = side * side
