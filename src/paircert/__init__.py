@@ -35,7 +35,6 @@ from .functions import (
     QuadratureError,
     ResolventParams,
     ResolventTraceFunction,
-    ScaledFunction,
     SpectralTraceFunction,
     contour_norm_integral,
     dominating_resolvent_scale,
@@ -74,7 +73,6 @@ __all__ = [
     "ResolventParams",
     "ResolventTraceFunction",
     "SCHEMA_VERSION",
-    "ScaledFunction",
     "SpectralTraceFunction",
     "WalshSpectrum",
     "all_ones",

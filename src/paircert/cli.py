@@ -110,13 +110,11 @@ def _certify_resolvent(args: argparse.Namespace, params: ResolventParams):
         # fastest of three calls on a block as the sweep forms them: a cold call or a lone row overstates the run
         table = all_ones(fn.n)[None].repeat(min(block_rows(fn.n), evaluations), axis=0)
         per_eval = min(timeit.repeat(lambda: fn.evaluate_block_with_g(table), number=1, repeat=3)) / len(table)
-        print(
-            f"target width {args.delta}: p={p}, {evaluations} combined evaluations,"
-            f" estimated {per_eval * evaluations:.1f}s",
-            file=sys.stderr,
-        )
+        # in floats: at a tiny --delta the integer count is too large to convert
+        estimate = per_eval * (0.5 * float(p) * float(p - 1) + 1.0)
+        print(f"target width {args.delta}: p={p}, {evaluations} combined evaluations, estimated {estimate:.1f}s", file=sys.stderr)
         if p * p > PAIR_BUDGET_WARN and not args.yes:
-            raise ValueError(f"p={p} implies {p * p} pair evaluations (> {PAIR_BUDGET_WARN}); pass --yes to proceed")
+            raise ValueError(f"--delta {args.delta} picks p={p}, which implies {p * p} pair evaluations (> {PAIR_BUDGET_WARN}); pass --yes to proceed")
     return p, certify(fn, p, args.seed, threads=args.threads)
 
 
@@ -331,8 +329,9 @@ def main(argv=None) -> int:
     except (FactorizationError, QuadratureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        # usage and configuration problems, including oracle budget refusals
+    except (ValueError, MemoryError) as exc:
+        # usage and configuration problems, including oracle budget refusals and a graph
+        # whose dense n x n arrays do not fit in memory (the signs and each block are capped)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print("\n".join(lines), file=sys.stderr)

@@ -180,6 +180,22 @@ def _pair_sweep(evaluate_block, signs: np.ndarray, threads: int):
     return averages, ones
 
 
+def _run(functions, p: int, seed: int, threads: int, with_g: bool):
+    """Sample p sign vectors from seed once and sweep the pairs once per
+    function, in order, over (f, g) when with_g and over f alone otherwise.
+    Returns each sweep's (averages, values at all-ones) and the run's counters."""
+    start = time.perf_counter()
+    factorizations_before = sum(fn.factorization_count for fn in functions)
+    signs = sample(p, functions[0].n, seed)
+    sweeps = []
+    for fn in functions:
+        block = fn.evaluate_block_with_g if with_g else lambda table: (fn.evaluate_block(table),)
+        sweeps.append(_pair_sweep(block, signs, threads))
+    factorizations = sum(fn.factorization_count for fn in functions) - factorizations_before
+    wall_ms = (time.perf_counter() - start) * 1e3
+    return sweeps, EvalCounters(evaluations=p * (p - 1) // 2 + 1, factorizations=factorizations, wall_ms=wall_ms)
+
+
 def markov_apriori(c: float, p: int) -> float:
     """Width bound 10c/(2p) that holds with probability >= 0.9 before sampling."""
     if c < 0:
@@ -197,7 +213,10 @@ def choose_p(lam: float, gamma: float, delta: float) -> int:
     for name, value in (("lam", lam), ("gamma", gamma), ("delta", delta)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be positive and finite, got {value}")
-    return math.floor(10.0 * lam / (gamma * gamma * delta)) + 1
+    denominator = gamma * gamma * delta
+    if not (denominator > 0 and math.isfinite(10.0 * lam / denominator)):
+        raise ValueError(f"delta={delta} is too small for lam={lam}, gamma={gamma}: 10*lam/(gamma^2*delta) must be finite")
+    return math.floor(10.0 * lam / denominator) + 1
 
 
 def certify(fn: BernoulliFunction, p: int, seed: int, threads: int = 1) -> Certificate:
@@ -207,11 +226,7 @@ def certify(fn: BernoulliFunction, p: int, seed: int, threads: int = 1) -> Certi
     checked here (it is a structural property of the function; see the
     oracle module for small-n verification).
     """
-    start = time.perf_counter()
-    factorizations_before = fn.factorization_count
-    signs = sample(p, fn.n, seed)
-    (f_bar, g_bar), (_, g_one) = _pair_sweep(fn.evaluate_block_with_g, signs, threads)
-    wall_ms = (time.perf_counter() - start) * 1e3
+    [((f_bar, g_bar), (_, g_one))], counters = _run((fn,), p, seed, threads, with_g=True)
     lower, upper = f_bar - g_bar - NUMERICAL_SLACK, f_bar + NUMERICAL_SLACK
     if not lower <= upper:
         raise FactorizationError(f"numerical breakdown: g_bar={g_bar!r} leaves the empty interval [{lower!r}, {upper!r}]")
@@ -221,11 +236,6 @@ def certify(fn: BernoulliFunction, p: int, seed: int, threads: int = 1) -> Certi
     markov_width = 10.0 * (g_one / p)
     expected_width = markov_width / 10.0
     c = fn.bounded_difference_constant
-    counters = EvalCounters(
-        evaluations=p * (p - 1) // 2 + 1,
-        factorizations=fn.factorization_count - factorizations_before,
-        wall_ms=wall_ms,
-    )
     return Certificate(
         f_bar=f_bar,
         g_bar=g_bar,
@@ -252,19 +262,9 @@ def certify_dominated(f1: BernoulliFunction, g2: BernoulliFunction, p: int, seed
     """
     if g2.n != f1.n:
         raise ValueError(f"g2 dimension {g2.n} does not match f1 dimension {f1.n}")
-    start = time.perf_counter()
-    factorizations_before = f1.factorization_count + g2.factorization_count
-    signs = sample(p, f1.n, seed)
     # Two passes, not one fused sweep: fusing f1 and g2 into one loop measured slower (torus:6, p=60).
-    (center,), _ = _pair_sweep(lambda table: (f1.evaluate_block(table),), signs, threads)
-    (radius,), _ = _pair_sweep(lambda table: (g2.evaluate_block(table),), signs, threads)
-    wall_ms = (time.perf_counter() - start) * 1e3
+    [((center,), _), ((radius,), _)], counters = _run((f1, g2), p, seed, threads, with_g=False)
     radius = float(radius) + NUMERICAL_SLACK
     if not radius >= 0.0:
         raise FactorizationError(f"numerical breakdown: the computed radius {radius!r} is negative")
-    counters = EvalCounters(
-        evaluations=p * (p - 1) // 2 + 1,
-        factorizations=f1.factorization_count + g2.factorization_count - factorizations_before,
-        wall_ms=wall_ms,
-    )
     return DominatedCertificate(center=center, radius=radius, p=p, seed=seed, counters=counters)

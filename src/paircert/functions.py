@@ -89,6 +89,8 @@ class ResolventParams:
             raise ValueError(f"lam must be positive and finite, got {self.lam}")
         if not (math.isfinite(self.gamma) and self.gamma > 0):
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        if not math.isfinite(self.gamma * self.gamma):
+            raise ValueError(f"gamma={self.gamma} is too large: gamma^2 must be finite")
         if not (self.gamma**2 > 0 and math.isfinite(2.0 * self.lam / self.gamma**2)):
             raise ValueError(f"gamma={self.gamma} is too small for lam={self.lam}: 2*lam/gamma^2 must be finite")
         lap = self.laplacian
@@ -179,11 +181,12 @@ def naive_g(fn: BernoulliFunction, eps: np.ndarray):
 
 
 class ResolventTraceFunction(BernoulliFunction):
-    """Normalized resolvent trace of the sign-diagonal operator on a graph."""
+    """Normalized resolvent trace of the sign-diagonal operator on a graph, times `scale`."""
 
-    def __init__(self, params: ResolventParams):
+    def __init__(self, params: ResolventParams, scale: float = 1.0):
         super().__init__(params.n)
         self.params = params
+        self.scale = scale
         self._base = (params.lam + params.gamma) * np.eye(self.n) - params.laplacian
         self._diag = np.diag_indices(self.n)
 
@@ -215,14 +218,14 @@ class ResolventTraceFunction(BernoulliFunction):
                 np.add(lower, lower.T, out=a)  # numpy buffers the overlap of lower.T with a
                 a[self._diag] *= 0.5  # the sum doubled the diagonal; halving it back is exact
             f, inverse = np.trace(m, axis1=1, axis2=2) / n, m
-        if not with_g:
-            return f, None
+        if not with_g:  # scale comes last, on f and on the finished g, so scale=1.0 moves no bit
+            return self.scale * f, None
         denom = 1.0 + 2.0 * lam * table * np.diagonal(inverse, axis1=1, axis2=2)
         if np.any(denom <= 0.0):
             # impossible for a valid SPD pair; flags a corrupted inverse
             raise FactorizationError("rank-one update denominator is not positive")
         col_sq = np.square(inverse, out=inverse).sum(axis=1)  # (M^-2)_rr by symmetry; in place, once denom read the diagonal
-        return f, (lam / n) * (table * col_sq / denom).sum(axis=1)
+        return self.scale * f, self.scale * ((lam / n) * (table * col_sq / denom).sum(axis=1))
 
     def evaluate_with_g(self, eps: np.ndarray) -> tuple[float, float]:
         f, g = self.evaluate_block_with_g(np.asarray(eps)[None])
@@ -236,8 +239,8 @@ class ResolventTraceFunction(BernoulliFunction):
 
     @property
     def bounded_difference_constant(self) -> float:
-        # one flip moves f by at most 2*lam/(n*gamma^2)
-        return 2.0 * self.params.lam / self.params.gamma**2
+        # one flip moves the unscaled trace by at most 2*lam/(n*gamma^2)
+        return abs(self.scale) * (2.0 * self.params.lam / self.params.gamma**2)
 
 
 @dataclass(frozen=True)
@@ -347,35 +350,6 @@ def contour_norm_integral(h: AnalyticFunction, d: int, lam: float, gamma: float)
     raise QuadratureError(f"{h.name}: contour quadrature did not stabilize within {QUADRATURE_NODE_CAP} nodes")
 
 
-class ScaledFunction(BernoulliFunction):
-    """factor * fn; the combined (f, g) path scales both components."""
-
-    def __init__(self, fn: BernoulliFunction, factor: float):
-        super().__init__(fn.n)
-        self.fn = fn
-        self.factor = factor
-
-    def evaluate_with_g(self, eps: np.ndarray):
-        f, g = self.fn.evaluate_with_g(eps)
-        return self.factor * f, self.factor * g
-
-    def evaluate_block(self, table: np.ndarray) -> np.ndarray:
-        return self.factor * self.fn.evaluate_block(table)
-
-    def evaluate_block_with_g(self, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        f, g = self.fn.evaluate_block_with_g(table)
-        return self.factor * f, self.factor * g
-
-    @property
-    def bounded_difference_constant(self) -> float | None:
-        inner = self.fn.bounded_difference_constant
-        return None if inner is None else abs(self.factor) * inner
-
-    @property
-    def factorization_count(self) -> int:
-        return self.fn.factorization_count
-
-
 class GFunction(BernoulliFunction):
     """eps -> g(eps) of a wrapped function, from its combined path."""
 
@@ -394,15 +368,15 @@ class GFunction(BernoulliFunction):
 def dominating_resolvent_scale(h: AnalyticFunction, params: ResolventParams, graph):
     """Spectral trace of h plus the contour-scaled resolvent that dominates it.
 
-    Returns (f1, f2): f1 is the spectral trace of h and f2 = kappa times
-    the resolvent trace, kappa from `contour_norm_integral` at the graph's
-    maximum degree. Every Walsh coefficient of f1 is bounded in modulus by
-    the corresponding (nonnegative) coefficient of f2, which is what the
-    dominated certificate requires.
+    Returns (f1, f2): f1 is the spectral trace of h and f2 the resolvent
+    trace with scale=kappa, kappa from `contour_norm_integral` at the
+    graph's maximum degree. Every Walsh coefficient of f1 is bounded in
+    modulus by the corresponding (nonnegative) coefficient of f2, which is
+    what the dominated certificate requires.
     """
     if params.n != graph.n:
         raise ValueError(f"laplacian dimension {params.n} does not match graph vertex count {graph.n}")
     kappa = contour_norm_integral(h, graph.max_degree, params.lam, params.gamma)
     f1 = SpectralTraceFunction(h, params)
-    f2 = ScaledFunction(ResolventTraceFunction(params), kappa)
+    f2 = ResolventTraceFunction(params, scale=kappa)
     return f1, f2

@@ -165,10 +165,13 @@ def test_seed_out_of_range_exit2():
     assert excinfo.value.code == 2
 
 
-def test_bad_graph_spec_exit2(capsys):
-    code, _, err = run_cli(capsys, ["certify", "--graph", "ring:9", "--lambda", "1", "--gamma", "1", "--p", "3", "--seed", "1"])
+# torus:12000 asks for 147 PiB, beyond any 57-bit address space, so the allocation fails at once
+@pytest.mark.parametrize("spec, fragment", [("ring:9", "graph spec"), ("torus:12000", "allocate")], ids=["unknown-kind", "too-large"])
+def test_bad_graph_spec_exit2(capsys, spec, fragment):
+    code, out, err = run_cli(capsys, ["certify", "--graph", spec, "--lambda", "1", "--gamma", "1", "--p", "3", "--seed", "1"])
     assert code == 2
-    assert "graph spec" in err
+    assert out == ""
+    assert fragment in err
 
 
 def test_unreadable_edge_file_exit2(capsys):
@@ -185,7 +188,15 @@ def test_nonpositive_gamma_exit2(capsys):
 
 @pytest.mark.parametrize(
     "lam, gamma, fragment",
-    [("nan", "1", "lam"), ("inf", "1", "lam"), ("1", "inf", "gamma"), ("1", "nan", "gamma"), ("1", "1e-160", "gamma"), ("1", "1e-200", "gamma")],
+    [
+        ("nan", "1", "lam"),
+        ("inf", "1", "lam"),
+        ("1", "inf", "gamma"),
+        ("1", "nan", "gamma"),
+        ("1", "1e-160", "gamma"),
+        ("1", "1e-200", "gamma"),
+        ("1", "1e200", "gamma"),
+    ],
 )
 def test_nonfinite_disorder_exit2(capsys, lam, gamma, fragment):
     code, out, err = run_cli(capsys, ["certify", "--graph", "torus:3", "--lambda", lam, "--gamma", gamma, "--p", "3", "--seed", "1"])
@@ -194,7 +205,7 @@ def test_nonfinite_disorder_exit2(capsys, lam, gamma, fragment):
     assert fragment in err and "finite" in err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "1e-310", "1e-300"])
 def test_bad_delta_exit2(capsys, value):
     code, out, err = run_cli(capsys, ["certify", "--graph", "torus:3", "--lambda", "1", "--gamma", "1", "--delta", value, "--seed", "1"])
     assert code == 2

@@ -19,7 +19,6 @@ from paircert.functions import (
     QuadratureError,
     ResolventParams,
     ResolventTraceFunction,
-    ScaledFunction,
     SpectralTraceFunction,
     block_rows,
     contour_norm_integral,
@@ -255,7 +254,7 @@ def test_spectral_trace_single_vertex_square():
 
 def test_scaled_function(torus3_params):
     inner = ResolventTraceFunction(torus3_params)
-    scaled = ScaledFunction(inner, 2.5)
+    scaled = ResolventTraceFunction(torus3_params, scale=2.5)
     eps = all_ones(9)
     f_in, g_in = inner.evaluate_with_g(eps)
     f_out, g_out = scaled.evaluate_with_g(eps)
@@ -263,7 +262,24 @@ def test_scaled_function(torus3_params):
     assert g_out == pytest.approx(2.5 * g_in, rel=1e-15)
     assert scaled.evaluate(eps) == pytest.approx(2.5 * f_in, rel=1e-15)
     assert scaled.bounded_difference_constant == pytest.approx(2.5 * inner.bounded_difference_constant)
-    assert scaled.factorization_count == inner.factorization_count
+    # each counts its own factorizations: two calls on the scaled one, one on the plain one
+    assert (scaled.factorization_count, inner.factorization_count) == (2, 1)
+
+
+@pytest.mark.parametrize("side", [3, 6])
+def test_scale_multiplies_finished_values(side):
+    # n = 9 runs the stacked kernel, n = 36 the per-row one. kappa multiplies
+    # the finished f and g, never lam/n, so the bits are kappa times the plain ones.
+    graph = build_torus_cayley(side)
+    params = ResolventParams(0.7, 1.3, laplacian(graph))
+    kappa = contour_norm_integral(AnalyticFunction.exp_scaled(0.3), graph.max_degree, 0.7, 1.3)
+    plain, scaled = ResolventTraceFunction(params), ResolventTraceFunction(params, scale=kappa)
+    table = sample(12, graph.n, 5)
+    np.testing.assert_array_equal(scaled.evaluate_block(table), kappa * plain.evaluate_block(table))
+    f, g = plain.evaluate_block_with_g(table)
+    f_scaled, g_scaled = scaled.evaluate_block_with_g(table)
+    np.testing.assert_array_equal(f_scaled, kappa * f)
+    np.testing.assert_array_equal(g_scaled, kappa * g)
 
 
 def test_g_function_paths(torus3_params):
@@ -294,7 +310,7 @@ def test_dominating_pair_single_vertex_square():
     square = AnalyticFunction.polynomial([0.0, 0.0, 1.0])
     f1, f2 = dominating_resolvent_scale(square, params, graph)
     resolvent = ResolventTraceFunction(params)
-    assert f2.factor == pytest.approx(8.0, rel=1e-12)
+    assert f2.scale == pytest.approx(8.0, rel=1e-12)
     for value in (1, -1):
         eps = np.array([value], dtype=np.int8)
         assert f1.evaluate(eps) == pytest.approx(1.0, abs=1e-13)
