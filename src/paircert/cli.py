@@ -8,8 +8,9 @@ Each subcommand returns (document, report lines, ok). `main` is the one
 writer and the one exit-code map: it prints one JSON document on stdout,
 the same bytes in --out, then the report, with wall time, on stderr.
 Only the --delta cost preview, which must precede the run, comes
-earlier. JSON content is independent of --threads; its last bits come
-from LAPACK and can differ by BLAS build, CPU and OPENBLAS_NUM_THREADS.
+earlier. `main` pins numpy's bundled OpenBLAS to one thread, so JSON
+content is independent of --threads and OPENBLAS_NUM_THREADS; its last
+bits come from LAPACK and can differ by BLAS build and CPU.
 
 Exit codes: 0 success, 1 numerical failure, unwritable --out or failed
 verdict, 2 usage or configuration error (including budget refusals).
@@ -23,6 +24,7 @@ import os
 import sys
 import timeit
 
+from . import functions
 from .estimator import (
     SCHEMA_VERSION,
     EvalCounters,
@@ -42,7 +44,7 @@ from .functions import (
 )
 from .graph import Graph, build_torus_cayley, from_edge_list, laplacian
 from .oracle import check_domination, check_nonnegative, walsh_spectrum
-from .sampling import all_ones
+from .sampling import MAX_SIGNS, all_ones
 
 REPRODUCE_GRAPH = "torus:15"
 REPRODUCE_P = 30
@@ -106,6 +108,8 @@ def _certify_resolvent(args: argparse.Namespace, params: ResolventParams):
     p = args.p
     if p is None:
         p = choose_p(args.lam, args.gamma, args.delta)
+        if p * fn.n > MAX_SIGNS:  # before the preview, whose figures would run to hundreds of digits
+            raise ValueError(f"--delta {args.delta} picks p={float(p):.3g}, whose p*n signs exceed the {MAX_SIGNS} size budget")
         evaluations = p * (p - 1) // 2 + 1
         # fastest of three calls on a block as the sweep forms them: a cold call or a lone row overstates the run
         table = all_ones(fn.n)[None].repeat(min(block_rows(fn.n), evaluations), axis=0)
@@ -318,6 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    pin = getattr(functions._openblas, "scipy_openblas_set_num_threads64_", None)
+    if pin is not None:
+        pin(1)  # --threads parallelizes the sweep, and one BLAS thread keeps LAPACK's bits fixed
     try:
         graph = _load_graph(args.graph)
         doc, lines, ok = args.func(args, graph, ResolventParams(args.lam, args.gamma, laplacian(graph)))
@@ -334,6 +341,8 @@ def main(argv=None) -> int:
         # whose dense n x n arrays do not fit in memory (the signs and each block are capped)
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if functions._openblas is None:
+        lines.append("note: this numpy exports no ILP64 dpotrf/dpotri, so n > 16 takes the stacked numpy kernel (1.4x slower at n = 36, 3.9x at n = 225)")
     print("\n".join(lines), file=sys.stderr)
     return 0 if ok else 1
 

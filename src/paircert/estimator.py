@@ -214,9 +214,14 @@ def choose_p(lam: float, gamma: float, delta: float) -> int:
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be positive and finite, got {value}")
     denominator = gamma * gamma * delta
-    if not (denominator > 0 and math.isfinite(10.0 * lam / denominator)):
+    if 0.0 < denominator < math.inf:
+        quotient = 10.0 * lam / denominator
+    else:  # gamma^2 left the float range on the way; this order keeps p where the form above is finite
+        scale = gamma * delta
+        quotient = 10.0 * lam / gamma / scale if scale > 0.0 else math.inf
+    if not math.isfinite(quotient):
         raise ValueError(f"delta={delta} is too small for lam={lam}, gamma={gamma}: 10*lam/(gamma^2*delta) must be finite")
-    return math.floor(10.0 * lam / denominator) + 1
+    return math.floor(quotient) + 1
 
 
 def certify(fn: BernoulliFunction, p: int, seed: int, threads: int = 1) -> Certificate:

@@ -28,22 +28,26 @@ Functions also take a (k, n) sign table at once. The resolvent assembles
 the (k, n, n) stack of M(eps) once. Up to BLOCK_MAX_N, where call overhead
 outweighs arithmetic, one stacked Cholesky M = L L^T follows: X = L^-1
 gives Tr M^-1 = ||X||_F^2 and M^-1 = X^T X. Above it each matrix of the
-stack is inverted in place by dpotrf and dpotri, and the lower triangle is
-mirrored into the full inverse. One tail then reads the diagonal and the
-column norms of M^-1 and sums the flips, whichever kernel ran. The spectral
-trace stacks eigvalsh at every n. One vector is the k = 1 case, so no value
-depends on the split.
+stack is inverted in place by dpotrf and dpotri from the OpenBLAS that
+numpy's wheel bundles, called through ctypes, so the GIL is released
+during each call. LAPACK reads a C-ordered matrix as its transpose, so
+its lower triangle is the row's upper one; when g is wanted, one masked
+copy mirrors it across the whole stack. A numpy build that exports no
+such routines takes the stacked kernel at every n. One tail then reads
+the diagonal and the column norms of M^-1 and sums the flips, whichever
+kernel ran. The spectral trace stacks eigvalsh at every n. One vector is
+the k = 1 case, so no value depends on the split.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import threading
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .sampling import flip
 
@@ -57,6 +61,30 @@ QUADRATURE_NODE_CAP = 1 << 20
 # took 11-16 us stacked vs 18 us by dpotrf/dpotri at n=16, but 31-48 vs 19-26 us at n=25.
 BLOCK_MAX_N = 16
 BLOCK_ENTRIES = 1 << 15
+
+
+def _load_openblas() -> ctypes.CDLL | None:
+    """numpy's bundled OpenBLAS (ILP64, `scipy_` prefix, `64_` suffix) with
+    dpotrf and dpotri typed, or None when this numpy build lacks them."""
+    try:
+        from numpy.linalg import _umath_linalg  # links the bundled OpenBLAS
+
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+        routines = lib.scipy_dpotrf_64_, lib.scipy_dpotri_64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    int64_p = ctypes.POINTER(ctypes.c_int64)
+    for routine in routines:  # (uplo, n, a, lda, info, hidden length of uplo)
+        routine.argtypes = [ctypes.c_char_p, int64_p, ctypes.c_void_p, int64_p, int64_p, ctypes.c_size_t]
+        routine.restype = None
+    pin = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if pin is not None:
+        pin.argtypes, pin.restype = [ctypes.c_int], None
+    return lib
+
+
+# None: every n takes the stacked kernel
+_openblas = _load_openblas()
 
 
 def block_rows(n: int) -> int:
@@ -96,6 +124,8 @@ class ResolventParams:
         lap = self.laplacian
         if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
             raise ValueError(f"laplacian must be square, got shape {lap.shape}")
+        if lap.dtype.kind not in "biuf":  # so M(eps) is float64, the buffer LAPACK is handed
+            raise ValueError(f"laplacian must be real, got dtype {lap.dtype}")
         lap.setflags(write=False)
 
     @property
@@ -189,6 +219,7 @@ class ResolventTraceFunction(BernoulliFunction):
         self.scale = scale
         self._base = (params.lam + params.gamma) * np.eye(self.n) - params.laplacian
         self._diag = np.diag_indices(self.n)
+        self._below = np.tri(self.n, k=-1, dtype=bool)
 
     def _block(self, table: np.ndarray, with_g: bool) -> tuple[np.ndarray, np.ndarray | None]:
         """(f, g or None) over the rows of a sign table. No pivoted fallback: a
@@ -198,7 +229,7 @@ class ResolventTraceFunction(BernoulliFunction):
         lam, n, k = self.params.lam, self.n, len(table)
         m = np.broadcast_to(self._base, (k, n, n)).copy()
         m[(slice(None), *self._diag)] -= lam * table
-        if n <= BLOCK_MAX_N:
+        if n <= BLOCK_MAX_N or _openblas is None:
             try:
                 x = np.linalg.inv(np.linalg.cholesky(m))  # X = L^-1 for M = L L^T
             except np.linalg.LinAlgError:
@@ -207,17 +238,19 @@ class ResolventTraceFunction(BernoulliFunction):
             f = (x * x).reshape(k, -1).sum(axis=1) / n  # Tr M^-1 = ||X||_F^2
             inverse = np.matmul(x.transpose(0, 2, 1), x) if with_g else None  # M^-1 = X^T X
         else:
-            for a in m:  # one matrix at a time, inverted in place: a.T is its Fortran-ordered view
-                factor, info = lapack.dpotrf(a.T, lower=1, overwrite_a=1)  # clean=1 zeroes the strict upper triangle
-                if info != 0:
-                    raise FactorizationError(f"Cholesky factorization failed (dpotrf info={info}); matrix is not positive definite")
-                lower, info = lapack.dpotri(factor, lower=1, overwrite_c=1)  # writes the lower triangle only
-                if info != 0:
-                    raise FactorizationError(f"inverse from Cholesky factor failed (dpotri info={info})")
+            order, info = ctypes.c_int64(n), ctypes.c_int64()
+            for address in range(m.ctypes.data, m.ctypes.data + k * m.strides[0], m.strides[0]):
+                # one matrix at a time, in place; LAPACK's lower triangle is the row's upper one
+                _openblas.scipy_dpotrf_64_(b"L", order, address, order, info, 1)
+                if info.value != 0:
+                    raise FactorizationError(f"Cholesky factorization failed (dpotrf info={info.value}); matrix is not positive definite")
+                _openblas.scipy_dpotri_64_(b"L", order, address, order, info, 1)
+                if info.value != 0:
+                    raise FactorizationError(f"inverse from Cholesky factor failed (dpotri info={info.value})")
                 self._factorizations.add(1)
-                np.add(lower, lower.T, out=a)  # numpy buffers the overlap of lower.T with a
-                a[self._diag] *= 0.5  # the sum doubled the diagonal; halving it back is exact
             f, inverse = np.trace(m, axis1=1, axis2=2) / n, m
+            if with_g:  # f reads the diagonal alone
+                np.copyto(m, m.transpose(0, 2, 1), where=self._below)
         if not with_g:  # scale comes last, on f and on the finished g, so scale=1.0 moves no bit
             return self.scale * f, None
         denom = 1.0 + 2.0 * lam * table * np.diagonal(inverse, axis1=1, axis2=2)

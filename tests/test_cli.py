@@ -10,7 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from paircert import cli
+from paircert import cli, functions
 from paircert.cli import main
 from paircert.estimator import NUMERICAL_SLACK
 from paircert.oracle import CheckResult
@@ -207,10 +207,14 @@ def test_nonfinite_disorder_exit2(capsys, lam, gamma, fragment):
 
 @pytest.mark.parametrize("value", ["nan", "inf", "1e-310", "1e-300"])
 def test_bad_delta_exit2(capsys, value):
-    code, out, err = run_cli(capsys, ["certify", "--graph", "torus:3", "--lambda", "1", "--gamma", "1", "--delta", value, "--seed", "1"])
-    assert code == 2
-    assert out == ""
-    assert "delta" in err
+    for yes in ([], ["--yes"]):
+        code, out, err = run_cli(capsys, ["certify", "--graph", "torus:3", "--lambda", "1", "--gamma", "1", "--delta", value, "--seed", "1", *yes])
+        assert code == 2
+        assert out == ""
+        assert "delta" in err
+        # a p too large for the sign budget is refused before the cost preview, in one short line
+        assert "target width" not in err
+        assert all(len(line) <= 200 for line in err.splitlines())
 
 
 def test_bench_rejects_h_exit2(capsys):
@@ -532,3 +536,18 @@ def test_threads_do_not_change_bytes_spectral():
     runs = [_run_subprocess(base + ["--threads", str(t)]) for t in (1, 4)]
     assert all(r.returncode == 0 for r in runs)
     assert runs[0].stdout == runs[1].stdout
+
+
+def test_fallback_kernel_reported_once(capsys, monkeypatch):
+    # without the bundled OpenBLAS symbols, n = 25 takes the stacked kernel and the report says so
+    argv = ["certify", "--graph", "torus:5", "--lambda", "1", "--gamma", "1", "--p", "6", "--seed", "2", "--threads", "1"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0 and "note:" not in err
+    monkeypatch.setattr(functions, "_openblas", None)
+    code, fallback_out, err = run_cli(capsys, argv)
+    assert code == 0
+    notes = [line for line in err.splitlines() if line.startswith("note:")]
+    assert len(notes) == 1 and "stacked" in notes[0]
+    doc, fallback = json.loads(out), json.loads(fallback_out)
+    for key in ("f_bar", "g_bar", "g_at_ones"):
+        assert fallback[key] == pytest.approx(doc[key], rel=1e-13, abs=0)

@@ -169,6 +169,8 @@ def test_choose_p_frozen_values():
     assert choose_p(1.0, 1.0, 0.01) == 1001
     assert choose_p(1.0, 1.0, 1 / 3) == 31
     assert choose_p(2.0, 1.0, 1.0) == 21
+    # gamma^2 overflows, gamma^2 * delta does not: 10*lam/(gamma^2*delta) = 2.5
+    assert choose_p(1.0, 2e154, 1e-308) == 3
 
 
 def test_choose_p_minimality():

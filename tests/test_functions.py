@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import ctypes
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.linalg import lapack
 from scipy.special import i0
 
-from paircert import estimator
+from paircert import estimator, functions
 from paircert.functions import (
     BLOCK_MAX_N,
     AnalyticFunction,
@@ -146,6 +150,9 @@ def test_resolvent_params_validation(torus3):
         ResolventParams(1.0, -2.0, lap)
     with pytest.raises(ValueError):
         ResolventParams(1.0, 1.0, np.zeros((2, 3)))
+    for dtype in (complex, object):
+        with pytest.raises(ValueError, match="real"):
+            ResolventParams(1.0, 1.0, lap.astype(dtype))
 
 
 def test_analytic_from_spec():
@@ -377,16 +384,33 @@ def test_block_matches_single_vectors_for_any_split(monkeypatch, side):
     assert len(documents) == len(dominated) == 1
 
 
-def _lapack_reference(params: ResolventParams, eps: np.ndarray) -> tuple[float, float]:
+def _scipy_lower(m: np.ndarray) -> np.ndarray:
+    """Lower triangle of M^-1 from scipy's own LAPACK, the independent reference."""
+    factor, info = lapack.dpotrf(m, lower=1)
+    assert info == 0
+    lower, info = lapack.dpotri(factor, lower=1)
+    assert info == 0
+    return lower
+
+
+def _binding_lower(m: np.ndarray) -> np.ndarray:
+    """Lower triangle of M^-1 from the kernel's own ctypes dpotrf and dpotri, on a fresh Fortran copy."""
+    a = np.asfortranarray(m)
+    assert not np.shares_memory(a, m)
+    order, info = ctypes.c_int64(len(m)), ctypes.c_int64()
+    for routine in (functions._openblas.scipy_dpotrf_64_, functions._openblas.scipy_dpotri_64_):
+        routine(b"L", order, a.ctypes.data, order, info, 1)
+        assert info.value == 0
+    return np.tril(a)
+
+
+def _lapack_reference(params: ResolventParams, eps: np.ndarray, inverse_lower=_scipy_lower) -> tuple[float, float]:
     """(f, g) from one dpotrf + dpotri and the rank-one flip sweep, per matrix,
     in the arithmetic of the one-call-per-vector kernel."""
     n, lam = params.n, params.lam
     m = (lam + params.gamma) * np.eye(n) - params.laplacian
     m[np.diag_indices(n)] -= lam * eps
-    factor, info = lapack.dpotrf(m, lower=1)
-    assert info == 0
-    lower, info = lapack.dpotri(factor, lower=1)
-    assert info == 0
+    lower = inverse_lower(m)
     inv = lower + lower.T
     inv[np.diag_indices(n)] = np.diagonal(lower)
     col_sq = (inv * inv).sum(axis=0)
@@ -396,7 +420,8 @@ def _lapack_reference(params: ResolventParams, eps: np.ndarray) -> tuple[float, 
 
 @pytest.mark.parametrize("side", [3, 4, 5, 6])
 def test_block_kernel_accuracy_against_lapack(side):
-    # the stacked kernel (n <= 16) within set tolerances; above it, the same bits
+    # both kernels within set tolerances of scipy's LAPACK; above n = 16, the same bits as
+    # the binding on one matrix (scipy bundles another OpenBLAS build, which may move last bits)
     n = side * side
     for lam, gamma in ((1.0, 1.0), (1.5, 0.75), (4.0, 0.5)):
         params = ResolventParams(lam, gamma, laplacian(build_torus_cayley(side)))
@@ -404,9 +429,84 @@ def test_block_kernel_accuracy_against_lapack(side):
         f, g = ResolventTraceFunction(params).evaluate_block_with_g(table)
         reference = np.array([_lapack_reference(params, eps) for eps in table])
         if n > BLOCK_MAX_N:
-            assert f.tolist() == reference[:, 0].tolist() and g.tolist() == reference[:, 1].tolist()
+            same_binding = np.array([_lapack_reference(params, eps, _binding_lower) for eps in table])
+            assert f.tolist() == same_binding[:, 0].tolist() and g.tolist() == same_binding[:, 1].tolist()
         np.testing.assert_allclose(f, reference[:, 0], rtol=1e-14, atol=0)
         np.testing.assert_allclose(g, reference[:, 1], rtol=1e-12, atol=0)
+
+
+def _large_params(n: int) -> ResolventParams:
+    """A torus when n is a square, else a random connected graph; lam = 1.5, gamma = 0.75."""
+    side = math.isqrt(n)
+    graph = build_torus_cayley(side) if side * side == n else random_connected_graph(np.random.default_rng(n), n)
+    return ResolventParams(1.5, 0.75, laplacian(graph))
+
+
+@pytest.mark.parametrize("n", [17, 25, 36, 225])
+def test_binding_matches_fresh_fortran_reference(n):
+    # an int-width or stride mistake in the ctypes call corrupts memory silently: bit-equality is the gate
+    params = _large_params(n)
+    table = _pair_table(6 if n < 225 else 3, n, n)
+    f, g = ResolventTraceFunction(params).evaluate_block_with_g(table)
+    reference = np.array([_lapack_reference(params, eps, _binding_lower) for eps in table])
+    assert f.tolist() == reference[:, 0].tolist()
+    assert g.tolist() == reference[:, 1].tolist()
+
+
+def test_binding_reports_positive_info():
+    # diagonal M with one negative entry, at index 7: dpotrf stops at the 8th leading minor
+    n = BLOCK_MAX_N + 4
+    fn = ResolventTraceFunction(ResolventParams(1.0, 1.0, 2.5 * np.eye(n)))
+    table = -np.ones((2, n), dtype=np.int8)
+    table[1, 7] = 1
+    for method in (fn.evaluate_block, fn.evaluate_block_with_g):
+        with pytest.raises(FactorizationError, match=r"dpotrf info=8\)"):
+            method(table)
+
+
+@pytest.mark.parametrize("n", [25, 36, 225])
+def test_forced_fallback_matches_binding(monkeypatch, n):
+    # a numpy without the bundled symbols takes the stacked kernel at every n
+    params = _large_params(n)
+    table = _pair_table(5, n, 4)
+    f, g = ResolventTraceFunction(params).evaluate_block_with_g(table)
+    monkeypatch.setattr(functions, "_openblas", None)
+    fn = ResolventTraceFunction(params)
+    f_stacked, g_stacked = fn.evaluate_block_with_g(table)
+    np.testing.assert_allclose(f_stacked, f, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(g_stacked, g, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(fn.evaluate_block(table), f, rtol=1e-13, atol=0)
+    assert fn.factorization_count == 2 * len(table)
+
+
+@pytest.mark.parametrize("n", [25, 225])
+def test_f_only_equals_f_of_pair_path(n):
+    # f alone skips the mirror and reads the diagonal that the (f, g) path reads
+    fn = ResolventTraceFunction(_large_params(n))
+    table = _pair_table(5, n, 8)
+    assert fn.evaluate_block(table).tolist() == fn.evaluate_block_with_g(table)[0].tolist()
+    assert [fn.evaluate(eps) for eps in table] == fn.evaluate_block(table).tolist()
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, paircert; assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, check=False)
+    assert run.returncode == 0, run.stderr.decode()
+
+
+def test_cli_runs_without_scipy_and_pins_one_blas_thread():
+    # scipy made unimportable; certify at n = 36 takes the binding, and main leaves one BLAS thread
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from paircert import cli, functions\n"
+        "assert cli.main(['certify', '--graph', 'torus:6', '--lambda', '1', '--gamma', '1', '--p', '4', '--seed', '1']) == 0\n"
+        "assert functions._openblas.scipy_openblas_get_num_threads64_() == 1\n"
+    )
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2"}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, check=False, env=env)
+    assert run.returncode == 0, run.stderr.decode()
+    assert json.loads(run.stdout)["config"]["n"] == 36
+    assert "note:" not in run.stderr.decode()
 
 
 @pytest.mark.parametrize("side", [3, 6])
