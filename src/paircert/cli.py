@@ -342,7 +342,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if functions._openblas is None:
-        lines.append("note: this numpy exports no ILP64 dpotrf/dpotri, so n > 16 takes the stacked numpy kernel (1.4x slower at n = 36, 3.9x at n = 225)")
+        lines.append("note: this numpy exports no ILP64 dpotrf/dpotri, so every n takes the stacked numpy kernel (2x slower at n = 16, 2.7x at n = 36, 4x at n = 225)")
     print("\n".join(lines), file=sys.stderr)
     return 0 if ok else 1
 

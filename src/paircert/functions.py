@@ -25,18 +25,17 @@ separate factorizations. `naive_g` keeps the n+1-evaluation definition
 as the reference implementation for any function.
 
 Functions also take a (k, n) sign table at once. The resolvent assembles
-the (k, n, n) stack of M(eps) once. Up to BLOCK_MAX_N, where call overhead
-outweighs arithmetic, one stacked Cholesky M = L L^T follows: X = L^-1
-gives Tr M^-1 = ||X||_F^2 and M^-1 = X^T X. Above it each matrix of the
-stack is inverted in place by dpotrf and dpotri from the OpenBLAS that
-numpy's wheel bundles, called through ctypes, so the GIL is released
-during each call. LAPACK reads a C-ordered matrix as its transpose, so
-its lower triangle is the row's upper one; when g is wanted, one masked
-copy mirrors it across the whole stack. A numpy build that exports no
-such routines takes the stacked kernel at every n. One tail then reads
-the diagonal and the column norms of M^-1 and sums the flips, whichever
-kernel ran. The spectral trace stacks eigvalsh at every n. One vector is
-the k = 1 case, so no value depends on the split.
+the (k, n, n) stack of M(eps) once, then inverts each matrix of the stack
+in place by dpotrf and dpotri from the OpenBLAS that numpy's wheel
+bundles, called through ctypes, so the GIL is released during each call.
+LAPACK reads a C-ordered matrix as its transpose, so its lower triangle is
+the row's upper one, T. A numpy build that exports no such routines takes
+a stacked Cholesky M = L L^T instead: X = L^-1 gives Tr M^-1 = ||X||_F^2
+and M^-1 = X^T X. One tail then reads the diagonal of M^-1, zeroes the
+other triangle, squares T in place and takes the column norms as
+colsum(T^2) + rowsum(T^2) - diag(T^2), whichever kernel ran. The spectral
+trace stacks eigvalsh at every n. One vector is the k = 1 case, so no
+value depends on the split.
 """
 
 from __future__ import annotations
@@ -57,9 +56,6 @@ QUADRATURE_START_NODES = 64
 QUADRATURE_RTOL = 1e-10
 QUADRATURE_NODE_CAP = 1 << 20
 
-# Largest n for the stacked resolvent kernel: per matrix at k=100, one BLAS thread, (f, g)
-# took 11-16 us stacked vs 18 us by dpotrf/dpotri at n=16, but 31-48 vs 19-26 us at n=25.
-BLOCK_MAX_N = 16
 BLOCK_ENTRIES = 1 << 15
 
 
@@ -83,7 +79,7 @@ def _load_openblas() -> ctypes.CDLL | None:
     return lib
 
 
-# None: every n takes the stacked kernel
+# None: every n takes the stacked numpy kernel
 _openblas = _load_openblas()
 
 
@@ -219,7 +215,7 @@ class ResolventTraceFunction(BernoulliFunction):
         self.scale = scale
         self._base = (params.lam + params.gamma) * np.eye(self.n) - params.laplacian
         self._diag = np.diag_indices(self.n)
-        self._below = np.tri(self.n, k=-1, dtype=bool)
+        self._upper = np.triu(np.ones((self.n, self.n), dtype=bool))
 
     def _block(self, table: np.ndarray, with_g: bool) -> tuple[np.ndarray, np.ndarray | None]:
         """(f, g or None) over the rows of a sign table. No pivoted fallback: a
@@ -229,12 +225,11 @@ class ResolventTraceFunction(BernoulliFunction):
         lam, n, k = self.params.lam, self.n, len(table)
         m = np.broadcast_to(self._base, (k, n, n)).copy()
         m[(slice(None), *self._diag)] -= lam * table
-        if n <= BLOCK_MAX_N or _openblas is None:
+        if _openblas is None:
             try:
                 x = np.linalg.inv(np.linalg.cholesky(m))  # X = L^-1 for M = L L^T
             except np.linalg.LinAlgError:
                 raise FactorizationError("stacked Cholesky factorization failed; a matrix is not positive definite") from None
-            self._factorizations.add(k)
             f = (x * x).reshape(k, -1).sum(axis=1) / n  # Tr M^-1 = ||X||_F^2
             inverse = np.matmul(x.transpose(0, 2, 1), x) if with_g else None  # M^-1 = X^T X
         else:
@@ -247,17 +242,19 @@ class ResolventTraceFunction(BernoulliFunction):
                 _openblas.scipy_dpotri_64_(b"L", order, address, order, info, 1)
                 if info.value != 0:
                     raise FactorizationError(f"inverse from Cholesky factor failed (dpotri info={info.value})")
-                self._factorizations.add(1)
             f, inverse = np.trace(m, axis1=1, axis2=2) / n, m
-            if with_g:  # f reads the diagonal alone
-                np.copyto(m, m.transpose(0, 2, 1), where=self._below)
+        self._factorizations.add(k)
         if not with_g:  # scale comes last, on f and on the finished g, so scale=1.0 moves no bit
             return self.scale * f, None
         denom = 1.0 + 2.0 * lam * table * np.diagonal(inverse, axis1=1, axis2=2)
         if np.any(denom <= 0.0):
             # impossible for a valid SPD pair; flags a corrupted inverse
             raise FactorizationError("rank-one update denominator is not positive")
-        col_sq = np.square(inverse, out=inverse).sum(axis=1)  # (M^-2)_rr by symmetry; in place, once denom read the diagonal
+        # in place, once denom has read the diagonal: row r of M^-1 is row r of T from the diagonal
+        # on and column r of T above it, so (M^-2)_rr = colsum + rowsum - diag of T^2
+        np.multiply(inverse, self._upper, out=inverse)
+        np.square(inverse, out=inverse)
+        col_sq = inverse.sum(axis=1) + inverse.sum(axis=2) - np.diagonal(inverse, axis1=1, axis2=2)
         return self.scale * f, self.scale * ((lam / n) * (table * col_sq / denom).sum(axis=1))
 
     def evaluate_with_g(self, eps: np.ndarray) -> tuple[float, float]:

@@ -14,7 +14,6 @@ from scipy.special import i0
 
 from paircert import estimator, functions
 from paircert.functions import (
-    BLOCK_MAX_N,
     AnalyticFunction,
     BernoulliFunction,
     AttestationError,
@@ -275,8 +274,7 @@ def test_scaled_function(torus3_params):
 
 @pytest.mark.parametrize("side", [3, 6])
 def test_scale_multiplies_finished_values(side):
-    # n = 9 runs the stacked kernel, n = 36 the per-row one. kappa multiplies
-    # the finished f and g, never lam/n, so the bits are kappa times the plain ones.
+    # kappa multiplies the finished f and g, never lam/n, so the bits are kappa times the plain ones
     graph = build_torus_cayley(side)
     params = ResolventParams(0.7, 1.3, laplacian(graph))
     kappa = contour_norm_integral(AnalyticFunction.exp_scaled(0.3), graph.max_degree, 0.7, 1.3)
@@ -350,8 +348,7 @@ def _pair_table(p: int, n: int, seed: int) -> np.ndarray:
 
 @pytest.mark.parametrize("side", [3, 4, 5, 6])
 def test_block_matches_single_vectors_for_any_split(monkeypatch, side):
-    # n = 9 and 16 run the stacked kernel, n = 25 and 36 one dpotrf/dpotri per row;
-    # one row at a time is the k = 1 case of either
+    # one dpotrf/dpotri per row at every n; one row at a time is the k = 1 case
     graph = build_torus_cayley(side)
     params = ResolventParams(1.5, 0.75, laplacian(graph))
     n = side * side
@@ -366,6 +363,14 @@ def test_block_matches_single_vectors_for_any_split(monkeypatch, side):
         assert np.array_equal(np.concatenate([f for f, _ in parts]), f_single)
         assert np.array_equal(np.concatenate([g for _, g in parts]), g_single)
         assert np.array_equal(np.concatenate([fn.evaluate_block(table[at:at + size]) for at in range(0, len(table), size)]), f_single)
+    # a full block of the oracle's size at n = 16 and a remainder, against one row per call
+    wide, chunk = _pair_table(17, n, 6), block_rows(16)
+    assert len(wide) > chunk
+    parts = [fn.evaluate_block_with_g(wide[at:at + chunk]) for at in range(0, len(wide), chunk)]
+    per_row = [fn.evaluate_with_g(eps) for eps in wide]
+    assert np.concatenate([f for f, _ in parts]).tolist() == [f for f, _ in per_row]
+    assert np.concatenate([g for _, g in parts]).tolist() == [g for _, g in per_row]
+    assert np.concatenate([fn.evaluate_block(wide[at:at + chunk]) for at in range(0, len(wide), chunk)]).tolist() == [fn.evaluate(eps) for eps in wide]
 
     ones = fn.evaluate_with_g(all_ones(n))
     expected = tuple((12 * one + 2.0 * math.fsum(v)) / 144.0 for one, v in zip(ones, (f_single, g_single)))
@@ -405,32 +410,30 @@ def _binding_lower(m: np.ndarray) -> np.ndarray:
 
 
 def _lapack_reference(params: ResolventParams, eps: np.ndarray, inverse_lower=_scipy_lower) -> tuple[float, float]:
-    """(f, g) from one dpotrf + dpotri and the rank-one flip sweep, per matrix,
-    in the arithmetic of the one-call-per-vector kernel."""
+    """(f, g) from one dpotrf + dpotri and the rank-one flip sweep, per matrix, in the
+    kernel's arithmetic: squared column norms of M^-1 from its upper triangle T = lower^T."""
     n, lam = params.n, params.lam
     m = (lam + params.gamma) * np.eye(n) - params.laplacian
     m[np.diag_indices(n)] -= lam * eps
     lower = inverse_lower(m)
-    inv = lower + lower.T
-    inv[np.diag_indices(n)] = np.diagonal(lower)
-    col_sq = (inv * inv).sum(axis=0)
+    t_sq = np.square(np.ascontiguousarray(np.tril(lower).T))
+    col_sq = t_sq.sum(axis=0) + t_sq.sum(axis=1) - np.diagonal(t_sq)
     g = (lam / n) * float(np.sum(eps * col_sq / (1.0 + 2.0 * lam * eps * np.diagonal(lower))))
     return float(np.trace(lower)) / n, g
 
 
 @pytest.mark.parametrize("side", [3, 4, 5, 6])
 def test_block_kernel_accuracy_against_lapack(side):
-    # both kernels within set tolerances of scipy's LAPACK; above n = 16, the same bits as
-    # the binding on one matrix (scipy bundles another OpenBLAS build, which may move last bits)
+    # within set tolerances of scipy's LAPACK, and the same bits as the binding on one matrix
+    # (scipy bundles another OpenBLAS build, which may move last bits)
     n = side * side
     for lam, gamma in ((1.0, 1.0), (1.5, 0.75), (4.0, 0.5)):
         params = ResolventParams(lam, gamma, laplacian(build_torus_cayley(side)))
         table = _pair_table(10, n, 17)
         f, g = ResolventTraceFunction(params).evaluate_block_with_g(table)
         reference = np.array([_lapack_reference(params, eps) for eps in table])
-        if n > BLOCK_MAX_N:
-            same_binding = np.array([_lapack_reference(params, eps, _binding_lower) for eps in table])
-            assert f.tolist() == same_binding[:, 0].tolist() and g.tolist() == same_binding[:, 1].tolist()
+        same_binding = np.array([_lapack_reference(params, eps, _binding_lower) for eps in table])
+        assert f.tolist() == same_binding[:, 0].tolist() and g.tolist() == same_binding[:, 1].tolist()
         np.testing.assert_allclose(f, reference[:, 0], rtol=1e-14, atol=0)
         np.testing.assert_allclose(g, reference[:, 1], rtol=1e-12, atol=0)
 
@@ -442,7 +445,7 @@ def _large_params(n: int) -> ResolventParams:
     return ResolventParams(1.5, 0.75, laplacian(graph))
 
 
-@pytest.mark.parametrize("n", [17, 25, 36, 225])
+@pytest.mark.parametrize("n", [9, 16, 17, 25, 36, 225])
 def test_binding_matches_fresh_fortran_reference(n):
     # an int-width or stride mistake in the ctypes call corrupts memory silently: bit-equality is the gate
     params = _large_params(n)
@@ -455,7 +458,7 @@ def test_binding_matches_fresh_fortran_reference(n):
 
 def test_binding_reports_positive_info():
     # diagonal M with one negative entry, at index 7: dpotrf stops at the 8th leading minor
-    n = BLOCK_MAX_N + 4
+    n = 20
     fn = ResolventTraceFunction(ResolventParams(1.0, 1.0, 2.5 * np.eye(n)))
     table = -np.ones((2, n), dtype=np.int8)
     table[1, 7] = 1
@@ -464,7 +467,7 @@ def test_binding_reports_positive_info():
             method(table)
 
 
-@pytest.mark.parametrize("n", [25, 36, 225])
+@pytest.mark.parametrize("n", [9, 16, 25, 36, 225])
 def test_forced_fallback_matches_binding(monkeypatch, n):
     # a numpy without the bundled symbols takes the stacked kernel at every n
     params = _large_params(n)
@@ -479,9 +482,9 @@ def test_forced_fallback_matches_binding(monkeypatch, n):
     assert fn.factorization_count == 2 * len(table)
 
 
-@pytest.mark.parametrize("n", [25, 225])
+@pytest.mark.parametrize("n", [16, 25, 225])
 def test_f_only_equals_f_of_pair_path(n):
-    # f alone skips the mirror and reads the diagonal that the (f, g) path reads
+    # f alone skips the flip sweep's tail and reads the diagonal that the (f, g) path reads
     fn = ResolventTraceFunction(_large_params(n))
     table = _pair_table(5, n, 8)
     assert fn.evaluate_block(table).tolist() == fn.evaluate_block_with_g(table)[0].tolist()
@@ -525,9 +528,11 @@ def test_stacked_eigvalsh_matches_per_row(side):
         assert [fn.evaluate(eps) for eps in table] == per_row
 
 
-@pytest.mark.parametrize("n", [4, BLOCK_MAX_N + 4])
-def test_block_with_one_indefinite_matrix_fails(n):
+@pytest.mark.parametrize("n, fallback", [(4, False), (20, False), (20, True)], ids=["4", "20", "fallback-20"])
+def test_block_with_one_indefinite_matrix_fails(monkeypatch, n, fallback):
     # M = (lam + gamma - 2.5 - lam*eps_i) on the diagonal: positive only where eps_i = -1
+    if fallback:
+        monkeypatch.setattr(functions, "_openblas", None)
     fn = ResolventTraceFunction(ResolventParams(1.0, 1.0, 2.5 * np.eye(n)))
     table = -np.ones((3, n), dtype=np.int8)
     table[1, 0] = 1

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from paircert.functions import (
     AnalyticFunction,
+    BernoulliFunction,
     ResolventParams,
     ResolventTraceFunction,
     dominating_resolvent_scale,
@@ -187,3 +188,22 @@ def test_spectrum_immutable(torus3_params):
     spec = walsh_spectrum(ResolventTraceFunction(torus3_params))
     with pytest.raises(ValueError):
         spec.coefficients[0] = 1.0
+
+
+class _EvaluateOnly(BernoulliFunction):
+    """Forwards `evaluate` alone, as a tracing wrapper does: its blocks are one row per call."""
+
+    def __init__(self, inner: BernoulliFunction):
+        super().__init__(inner.n)
+        self.inner = inner
+
+    def evaluate(self, eps):
+        return self.inner.evaluate(eps)
+
+
+def test_oracle_bits_do_not_depend_on_the_split():
+    # at n = 16 the oracle's blocks of 128 rows and one row per call must agree bit for bit
+    fn = ResolventTraceFunction(ResolventParams(1.0, 1.0, laplacian(build_torus_cayley(4))))
+    wrapped = _EvaluateOnly(fn)
+    assert exact_expectation(wrapped) == exact_expectation(fn)
+    assert walsh_spectrum(wrapped).coefficients.tolist() == walsh_spectrum(fn).coefficients.tolist()
