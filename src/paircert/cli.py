@@ -322,9 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    pin = getattr(functions._openblas, "scipy_openblas_set_num_threads64_", None)
-    if pin is not None:
-        pin(1)  # --threads parallelizes the sweep, and one BLAS thread keeps LAPACK's bits fixed
+    binding = functions.pin_one_blas_thread()  # --threads parallelizes the sweep, and one BLAS thread keeps LAPACK's bits fixed
     try:
         graph = _load_graph(args.graph)
         doc, lines, ok = args.func(args, graph, ResolventParams(args.lam, args.gamma, laplacian(graph)))
@@ -341,8 +339,8 @@ def main(argv=None) -> int:
         # whose dense n x n arrays do not fit in memory (the signs and each block are capped)
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if functions._openblas is None:
-        lines.append("note: this numpy exports no ILP64 dpotrf/dpotri, so every n takes the stacked numpy kernel (2x slower at n = 16, 2.7x at n = 36, 4x at n = 225)")
+    if not binding:
+        lines.append("note: this numpy does not export the ILP64 dpotrf, dpotri and thread setter, so every n takes the stacked numpy kernel (2x slower at n = 16, 2.5x at n = 36, 3.7x at n = 225)")
     print("\n".join(lines), file=sys.stderr)
     return 0 if ok else 1
 

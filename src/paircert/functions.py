@@ -24,18 +24,17 @@ O(n^3) inverse then covers all n flips in O(n^2) total, instead of n+1
 separate factorizations. `naive_g` keeps the n+1-evaluation definition
 as the reference implementation for any function.
 
-Functions also take a (k, n) sign table at once. The resolvent assembles
-the (k, n, n) stack of M(eps) once, then inverts each matrix of the stack
-in place by dpotrf and dpotri from the OpenBLAS that numpy's wheel
-bundles, called through ctypes, so the GIL is released during each call.
-LAPACK reads a C-ordered matrix as its transpose, so its lower triangle is
-the row's upper one, T. A numpy build that exports no such routines takes
-a stacked Cholesky M = L L^T instead: X = L^-1 gives Tr M^-1 = ||X||_F^2
-and M^-1 = X^T X. One tail then reads the diagonal of M^-1, zeroes the
-other triangle, squares T in place and takes the column norms as
-colsum(T^2) + rowsum(T^2) - diag(T^2), whichever kernel ran. The spectral
-trace stacks eigvalsh at every n. One vector is the k = 1 case, so no
-value depends on the split.
+Functions also take a (k, n) sign table at once. `_operators` assembles
+the stack of base - lam*D_eps, one matrix per row: eigvalsh reads it with
+base -Lap, and the resolvent, with base (lam+gamma)I - Lap, leaves M^-1
+in it. dpotrf and dpotri from numpy's bundled OpenBLAS, called through
+ctypes with the GIL released, invert each matrix in place; LAPACK reads a
+C-ordered matrix as its transpose, so its lower triangle is the row's
+upper one, T. A numpy build without them writes M^-1 = X^T X over the
+stack, X = L^-1 for M = L L^T. Then f = Tr M^-1 / n, and one tail reads
+the diagonal, zeroes the other triangle, squares T in place and takes the
+column norms as colsum(T^2) + rowsum(T^2) - diag(T^2). One vector is the
+k = 1 case, so no value depends on the split.
 """
 
 from __future__ import annotations
@@ -60,27 +59,31 @@ BLOCK_ENTRIES = 1 << 15
 
 
 def _load_openblas() -> ctypes.CDLL | None:
-    """numpy's bundled OpenBLAS (ILP64, `scipy_` prefix, `64_` suffix) with
-    dpotrf and dpotri typed, or None when this numpy build lacks them."""
+    """numpy's bundled OpenBLAS (ILP64, `scipy_` prefix, `64_` suffix) with dpotrf,
+    dpotri and its thread setter typed, or None when this numpy build lacks one."""
     try:
         from numpy.linalg import _umath_linalg  # links the bundled OpenBLAS
 
         lib = ctypes.CDLL(_umath_linalg.__file__)
-        routines = lib.scipy_dpotrf_64_, lib.scipy_dpotri_64_
+        routines, pin = (lib.scipy_dpotrf_64_, lib.scipy_dpotri_64_), lib.scipy_openblas_set_num_threads64_
     except (ImportError, OSError, AttributeError):
         return None
     int64_p = ctypes.POINTER(ctypes.c_int64)
     for routine in routines:  # (uplo, n, a, lda, info, hidden length of uplo)
-        routine.argtypes = [ctypes.c_char_p, int64_p, ctypes.c_void_p, int64_p, int64_p, ctypes.c_size_t]
-        routine.restype = None
-    pin = getattr(lib, "scipy_openblas_set_num_threads64_", None)
-    if pin is not None:
-        pin.argtypes, pin.restype = [ctypes.c_int], None
+        routine.argtypes, routine.restype = [ctypes.c_char_p, int64_p, ctypes.c_void_p, int64_p, int64_p, ctypes.c_size_t], None
+    pin.argtypes, pin.restype = [ctypes.c_int], None
     return lib
 
 
 # None: every n takes the stacked numpy kernel
 _openblas = _load_openblas()
+
+
+def pin_one_blas_thread() -> bool:
+    """Pin the bundled OpenBLAS to one thread; False when no binding is in use and the stacked numpy kernel runs."""
+    if _openblas is not None:
+        _openblas.scipy_openblas_set_num_threads64_(1)
+    return _openblas is not None
 
 
 def block_rows(n: int) -> int:
@@ -117,11 +120,18 @@ class ResolventParams:
             raise ValueError(f"gamma={self.gamma} is too large: gamma^2 must be finite")
         if not (self.gamma**2 > 0 and math.isfinite(2.0 * self.lam / self.gamma**2)):
             raise ValueError(f"gamma={self.gamma} is too small for lam={self.lam}: 2*lam/gamma^2 must be finite")
-        lap = self.laplacian
+        lap = np.asarray(self.laplacian)
         if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
             raise ValueError(f"laplacian must be square, got shape {lap.shape}")
-        if lap.dtype.kind not in "biuf":  # so M(eps) is float64, the buffer LAPACK is handed
+        if lap.dtype.kind not in "biuf":
             raise ValueError(f"laplacian must be real, got dtype {lap.dtype}")
+        lap = np.asarray(lap, dtype=np.float64)  # so M(eps) is float64, the buffer LAPACK is handed
+        if not np.all(np.isfinite(lap)):
+            raise ValueError("laplacian entries must be finite")
+        # every kernel reads one triangle, and not the same one
+        if not np.array_equal(lap, lap.T):
+            raise ValueError("laplacian must be symmetric")
+        object.__setattr__(self, "laplacian", lap)  # frozen dataclass
         lap.setflags(write=False)
 
     @property
@@ -191,9 +201,15 @@ class BernoulliFunction:
         """O(n^3) factorizations performed so far (cost-model counter)."""
         return self._factorizations.value
 
-    def _require_dimension(self, table: np.ndarray):
-        if table.shape[-1] != self.n:
-            raise ValueError(f"sign vector has length {table.shape[-1]}, function dimension is {self.n}")
+
+def _operators(base: np.ndarray, lam: float, table: np.ndarray) -> np.ndarray:
+    """C-contiguous float64 (k, n, n) stack of base - lam*diag(eps), one matrix per row of the sign table."""
+    k, n = len(table), len(base)
+    if table.shape[-1] != n:
+        raise ValueError(f"sign vector has length {table.shape[-1]}, function dimension is {n}")
+    m = np.broadcast_to(base, (k, n, n)).copy()  # not astype: the ctypes loop needs each matrix contiguous
+    m.reshape(k, n * n)[:, :: n + 1] -= lam * table
+    return m
 
 
 def naive_g(fn: BernoulliFunction, eps: np.ndarray):
@@ -214,24 +230,20 @@ class ResolventTraceFunction(BernoulliFunction):
         self.params = params
         self.scale = scale
         self._base = (params.lam + params.gamma) * np.eye(self.n) - params.laplacian
-        self._diag = np.diag_indices(self.n)
         self._upper = np.triu(np.ones((self.n, self.n), dtype=bool))
 
     def _block(self, table: np.ndarray, with_g: bool) -> tuple[np.ndarray, np.ndarray | None]:
         """(f, g or None) over the rows of a sign table. No pivoted fallback: a
         failed Cholesky means the positivity guarantee was violated upstream."""
         table = np.asarray(table)
-        self._require_dimension(table)
         lam, n, k = self.params.lam, self.n, len(table)
-        m = np.broadcast_to(self._base, (k, n, n)).copy()
-        m[(slice(None), *self._diag)] -= lam * table
+        m = _operators(self._base, lam, table)
         if _openblas is None:
             try:
                 x = np.linalg.inv(np.linalg.cholesky(m))  # X = L^-1 for M = L L^T
             except np.linalg.LinAlgError:
                 raise FactorizationError("stacked Cholesky factorization failed; a matrix is not positive definite") from None
-            f = (x * x).reshape(k, -1).sum(axis=1) / n  # Tr M^-1 = ||X||_F^2
-            inverse = np.matmul(x.transpose(0, 2, 1), x) if with_g else None  # M^-1 = X^T X
+            np.matmul(x.transpose(0, 2, 1), x, out=m)  # M^-1 = X^T X
         else:
             order, info = ctypes.c_int64(n), ctypes.c_int64()
             for address in range(m.ctypes.data, m.ctypes.data + k * m.strides[0], m.strides[0]):
@@ -242,19 +254,19 @@ class ResolventTraceFunction(BernoulliFunction):
                 _openblas.scipy_dpotri_64_(b"L", order, address, order, info, 1)
                 if info.value != 0:
                     raise FactorizationError(f"inverse from Cholesky factor failed (dpotri info={info.value})")
-            f, inverse = np.trace(m, axis1=1, axis2=2) / n, m
         self._factorizations.add(k)
+        f = np.trace(m, axis1=1, axis2=2) / n
         if not with_g:  # scale comes last, on f and on the finished g, so scale=1.0 moves no bit
             return self.scale * f, None
-        denom = 1.0 + 2.0 * lam * table * np.diagonal(inverse, axis1=1, axis2=2)
+        denom = 1.0 + 2.0 * lam * table * np.diagonal(m, axis1=1, axis2=2)
         if np.any(denom <= 0.0):
             # impossible for a valid SPD pair; flags a corrupted inverse
             raise FactorizationError("rank-one update denominator is not positive")
         # in place, once denom has read the diagonal: row r of M^-1 is row r of T from the diagonal
         # on and column r of T above it, so (M^-2)_rr = colsum + rowsum - diag of T^2
-        np.multiply(inverse, self._upper, out=inverse)
-        np.square(inverse, out=inverse)
-        col_sq = inverse.sum(axis=1) + inverse.sum(axis=2) - np.diagonal(inverse, axis1=1, axis2=2)
+        np.multiply(m, self._upper, out=m)
+        np.square(m, out=m)
+        col_sq = m.sum(axis=1) + m.sum(axis=2) - np.diagonal(m, axis1=1, axis2=2)
         return self.scale * f, self.scale * ((lam / n) * (table * col_sq / denom).sum(axis=1))
 
     def evaluate_with_g(self, eps: np.ndarray) -> tuple[float, float]:
@@ -337,15 +349,11 @@ class SpectralTraceFunction(BernoulliFunction):
         self.h = h
         self.params = params
         self._neg_lap = -params.laplacian
-        self._diag = np.diag_indices(self.n)
 
     def evaluate_block(self, table: np.ndarray) -> np.ndarray:
         table = np.asarray(table)
-        self._require_dimension(table)
-        op = np.broadcast_to(self._neg_lap, (table.shape[0], self.n, self.n)).copy()
-        op[(slice(None), *self._diag)] -= self.params.lam * table
-        eigenvalues = np.linalg.eigvalsh(op)
-        self._factorizations.add(table.shape[0])
+        eigenvalues = np.linalg.eigvalsh(_operators(self._neg_lap, self.params.lam, table))
+        self._factorizations.add(len(table))
         return np.mean(self.h(eigenvalues), axis=1)
 
 

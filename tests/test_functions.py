@@ -120,6 +120,12 @@ def test_dimension_mismatch(torus3_params):
         fn.evaluate(all_ones(8))
     with pytest.raises(ValueError, match="length"):
         fn.evaluate_with_g(all_ones(10))
+    # the spectral trace shares the resolvent's assembly and its check
+    spectral = SpectralTraceFunction(AnalyticFunction.polynomial([0, 1]), torus3_params)
+    with pytest.raises(ValueError, match="length"):
+        spectral.evaluate(all_ones(8))
+    with pytest.raises(ValueError, match="length"):
+        spectral.evaluate_block(np.ones((3, 10), dtype=np.int8))
 
 
 def test_factorization_counter(torus3_params):
@@ -152,6 +158,42 @@ def test_resolvent_params_validation(torus3):
     for dtype in (complex, object):
         with pytest.raises(ValueError, match="real"):
             ResolventParams(1.0, 1.0, lap.astype(dtype))
+    listed = ResolventParams(1.0, 1.0, lap.tolist()).laplacian
+    assert listed.dtype == np.float64 and np.array_equal(listed, lap)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_resolvent_params_rejects_non_finite_laplacian(torus3, bad):
+    lap = laplacian(torus3).copy()
+    lap[0, 1] = lap[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ResolventParams(1.0, 1.0, lap)
+
+
+def test_resolvent_params_rejects_non_symmetric_laplacian(torus3):
+    # the binding's dpotrf reads one triangle of a C-ordered matrix, cholesky and eigvalsh the other
+    lap = laplacian(torus3).copy()
+    lap[0, 1] += 0.5
+    with pytest.raises(ValueError, match="symmetric"):
+        ResolventParams(1.0, 1.0, lap)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, bool])
+def test_integer_laplacian_matches_float_copy(torus3, dtype):
+    # stored as float64, so the kernels see the same matrix; bool is real too, though no Laplacian
+    lap = laplacian(torus3).astype(dtype)
+    params, reference = ResolventParams(1.0, 1.0, lap), ResolventParams(1.0, 1.0, lap.astype(np.float64))
+    assert params.laplacian.dtype == np.float64 and not params.laplacian.flags.writeable
+    table = sample(12, 9, 4)
+    h = AnalyticFunction.polynomial([0.5, -1.0, 0.25])
+    spectral = SpectralTraceFunction(h, params).evaluate_block(table)
+    assert spectral.tolist() == SpectralTraceFunction(h, reference).evaluate_block(table).tolist()
+    if dtype is bool:  # (lam+gamma)I minus a 0/1 matrix need not be positive definite
+        return
+    f, g = ResolventTraceFunction(params).evaluate_block_with_g(table)
+    f_ref, g_ref = ResolventTraceFunction(reference).evaluate_block_with_g(table)
+    assert f.tolist() == f_ref.tolist() and g.tolist() == g_ref.tolist()
+    assert ResolventTraceFunction(params).evaluate_block(table).tolist() == f_ref.tolist()
 
 
 def test_analytic_from_spec():
@@ -482,9 +524,16 @@ def test_forced_fallback_matches_binding(monkeypatch, n):
     assert fn.factorization_count == 2 * len(table)
 
 
-@pytest.mark.parametrize("n", [16, 25, 225])
-def test_f_only_equals_f_of_pair_path(n):
-    # f alone skips the flip sweep's tail and reads the diagonal that the (f, g) path reads
+@pytest.mark.parametrize(
+    "n, fallback",
+    [(16, False), (25, False), (225, False), (16, True), (25, True), (225, True)],
+    ids=["16", "25", "225", "fallback-16", "fallback-25", "fallback-225"],
+)
+def test_f_only_equals_f_of_pair_path(monkeypatch, n, fallback):
+    # f alone skips the flip sweep's tail and reads the diagonal that the (f, g) path reads;
+    # the fallback leaves M^-1 in the same stack, so the same holds there
+    if fallback:
+        monkeypatch.setattr(functions, "_openblas", None)
     fn = ResolventTraceFunction(_large_params(n))
     table = _pair_table(5, n, 8)
     assert fn.evaluate_block(table).tolist() == fn.evaluate_block_with_g(table)[0].tolist()
