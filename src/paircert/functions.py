@@ -25,15 +25,18 @@ separate factorizations. `naive_g` keeps the n+1-evaluation definition
 as the reference implementation for any function.
 
 Functions also take a (k, n) sign table at once. `_operators` assembles
-the stack of base - lam*D_eps, one matrix per row: eigvalsh reads it with
-base -Lap, and the resolvent, with base (lam+gamma)I - Lap, leaves M^-1
-in it. dpotrf and dpotri from numpy's bundled OpenBLAS, called through
-ctypes with the GIL released, invert each matrix in place; LAPACK reads a
-C-ordered matrix as its transpose, so its lower triangle is the row's
-upper one, T. A numpy build without them writes M^-1 = X^T X over the
-stack, X = L^-1 for M = L L^T. Then f = Tr M^-1 / n, and one tail reads
-the diagonal, zeroes the other triangle, squares T in place and takes the
-column norms as colsum(T^2) + rowsum(T^2) - diag(T^2). One vector is the
+the stack of base - lam*D_eps, one matrix per row. With base -Lap it is
+H_eps for the spectral trace: a polynomial h = sum_k c_k z^k takes
+(1/n) * sum_k c_k Tr H^k, each power sum one dot product of the entries
+of two stacked matmul powers, and any other h takes eigvalsh. With base
+(lam+gamma)I - Lap the resolvent leaves M^-1 in it. dpotrf and dpotri
+from numpy's bundled OpenBLAS, called through ctypes with the GIL
+released, invert each matrix in place; LAPACK reads a C-ordered matrix
+as its transpose, so its lower triangle is the row's upper one, T. A
+numpy build without them writes M^-1 = X^T X over the stack, X = L^-1
+for M = L L^T. Then f = Tr M^-1 / n, and one tail reads the diagonal,
+zeroes the other triangle, squares T in place and takes the column
+norms as colsum(T^2) + rowsum(T^2) - diag(T^2). One vector is the
 k = 1 case, so no value depends on the split.
 """
 
@@ -293,12 +296,15 @@ class AnalyticFunction:
     the closed disk |z - d| <= d + lam + gamma needed by the spectral
     trace and the contour constant; the built-in constructors produce
     entire functions and always set it. Evaluators must accept numpy
-    arrays of any shape and act elementwise.
+    arrays of any shape and act elementwise. `coefficients`, set by
+    `polynomial`, are c_0, ..., c_deg of a polynomial h, low to high with
+    trailing zeros dropped; None means h has none, as for `exp_scaled`.
     """
 
     name: str
     evaluator: Callable
     attested: bool
+    coefficients: tuple | None = None
 
     def __call__(self, z):
         return self.evaluator(z)
@@ -312,7 +318,13 @@ class AnalyticFunction:
         if not np.all(np.isfinite(coeffs)):
             raise ValueError(f"polynomial coefficients must be finite, got {coeffs}")
         name = "poly:" + ",".join(format(c, "g") for c in coeffs)
-        return AnalyticFunction(name=name, evaluator=lambda z: np.polynomial.polynomial.polyval(z, coeffs), attested=True)
+        degree = max([k for k, c in enumerate(coeffs) if c != 0], default=0)
+        return AnalyticFunction(
+            name=name,
+            evaluator=lambda z: np.polynomial.polynomial.polyval(z, coeffs),
+            attested=True,
+            coefficients=tuple(coeffs[: degree + 1]),
+        )
 
     @staticmethod
     def exp_scaled(s: float) -> "AnalyticFunction":
@@ -340,7 +352,11 @@ class AnalyticFunction:
 
 
 class SpectralTraceFunction(BernoulliFunction):
-    """Normalized trace of h(-lam*D_eps - Lap) via eigendecomposition."""
+    """Normalized trace of h(H_eps), H_eps = -lam*D_eps - Lap.
+
+    A polynomial h, one with `coefficients`, takes it from the power sums
+    Tr H^k; any other h from the eigenvalues of each H_eps.
+    """
 
     def __init__(self, h: AnalyticFunction, params: ResolventParams):
         if not h.attested:
@@ -352,9 +368,20 @@ class SpectralTraceFunction(BernoulliFunction):
 
     def evaluate_block(self, table: np.ndarray) -> np.ndarray:
         table = np.asarray(table)
-        eigenvalues = np.linalg.eigvalsh(_operators(self._neg_lap, self.params.lam, table))
+        m = _operators(self._neg_lap, self.params.lam, table)
         self._factorizations.add(len(table))
-        return np.mean(self.h(eigenvalues), axis=1)
+        coeffs = self.h.coefficients
+        if coeffs is None:
+            return np.mean(self.h(np.linalg.eigvalsh(m)), axis=1)
+        k, n = len(table), self.n
+        powers = [m]  # H, H^2, ..., H^ceil(deg/2)
+        while len(powers) < len(coeffs) // 2:
+            powers.append(np.matmul(powers[-1], m))
+        rows = [power.reshape(k, n * n) for power in powers]
+        # Tr H^(a+b) = sum_ij (H^a)_ij (H^b)_ij, since H^a is symmetric; a = floor(j/2) and b = j - a
+        moments = [np.full(k, float(n)), np.trace(m, axis1=1, axis2=2)]
+        moments += [np.einsum("ij,ij->i", rows[j // 2 - 1], rows[j - j // 2 - 1]) for j in range(2, len(coeffs))]
+        return sum(c * t for c, t in zip(coeffs, moments)) / n
 
 
 def contour_norm_integral(h: AnalyticFunction, d: int, lam: float, gamma: float) -> float:
@@ -373,9 +400,12 @@ def contour_norm_integral(h: AnalyticFunction, d: int, lam: float, gamma: float)
         t = np.arange(count) * (2.0 * np.pi / count)
         with np.errstate(over="ignore", invalid="ignore"):
             values = np.abs(h(d + radius * np.exp(1j * t)))
+            integral = radius * (float(np.sum(values)) / count)
         if not np.all(np.isfinite(values)):
             raise QuadratureError(f"{h.name}: |h| is not finite on the contour; check the analyticity attestation")
-        return radius * (float(np.sum(values)) / count)
+        if not math.isfinite(integral):  # |h| finite at every node, its sum not
+            raise QuadratureError(f"{h.name}: the contour integral of |h| is not finite")
+        return integral
 
     count = QUADRATURE_START_NODES
     previous = level(count)

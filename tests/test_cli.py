@@ -287,6 +287,15 @@ def test_quadrature_failure_exit1(capsys):
     assert "contour" in err
 
 
+def test_contour_sum_overflow_is_one_error_line():
+    # |h| is finite at every contour node but its sum overflows: exit 1 at once, no numpy warning
+    argv = ["certify", "--graph", "torus:3", "--lambda", "1", "--gamma", "1", "--p", "5", "--seed", "1", "--h", "poly:0,0,1e306"]
+    run = _run_subprocess(argv)
+    assert run.returncode == 1
+    assert run.stdout == b""
+    assert run.stderr.decode() == "error: poly:0,0,1e+306: the contour integral of |h| is not finite\n"
+
+
 def test_bad_h_spec_exit2(capsys):
     code, _, err = run_cli(
         capsys,

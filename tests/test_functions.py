@@ -6,7 +6,9 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import lapack
@@ -573,8 +575,12 @@ def test_stacked_eigvalsh_matches_per_row(side):
         for eps in table:
             op = -params.laplacian - params.lam * np.diag(eps.astype(float))
             per_row.append(np.mean(h(np.linalg.eigvalsh(op))).item())
-        assert block.tolist() == per_row
-        assert [fn.evaluate(eps) for eps in table] == per_row
+        if h.coefficients is None:  # exp takes eigvalsh itself
+            assert block.tolist() == per_row
+            assert [fn.evaluate(eps) for eps in table] == per_row
+        else:  # a polynomial takes its power sums, which agree with eigvalsh to rounding
+            assert block.tolist() == [fn.evaluate(eps) for eps in table]
+            np.testing.assert_allclose(block, per_row, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("n, fallback", [(4, False), (20, False), (20, True)], ids=["4", "20", "fallback-20"])
@@ -603,3 +609,75 @@ def test_factorization_count_grows_by_block_rows(side):
     fn = ResolventTraceFunction(params)
     fn.evaluate_block_with_g(table[:5])
     assert fn.factorization_count == 5
+
+
+def _power_sums_mp(params: ResolventParams, eps: np.ndarray, degree: int) -> list:
+    """Tr H^k for k = 0..degree at 50 digits, H = -lam*D_eps - Lap."""
+    n = params.n
+    h = mpmath.matrix(n, n)
+    for i in range(n):
+        for j in range(n):
+            h[i, j] = -mpmath.mpf(params.laplacian[i, j]) - (mpmath.mpf(params.lam) * int(eps[i]) if i == j else 0)
+    sums, power = [mpmath.mpf(n)], mpmath.eye(n)
+    for _ in range(degree):
+        power = power * h
+        sums.append(sum(power[i, i] for i in range(n)))
+    return sums
+
+
+@pytest.mark.parametrize("side", [3, 5])
+def test_power_sums_match_50_digit_reference(side):
+    # degrees 0, 1, 2, 3 and 5 and one complex coefficient, each value to rel 1e-14 of 50-digit power sums
+    params = ResolventParams(0.7, 1.3, laplacian(build_torus_cayley(side)))
+    polys = [[2.5], [0.5, -1.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0, -0.5], [1.0, -1.0, 0.5, -0.25, 0.125, -0.0625], [0.0, 1.0 - 2j, 0.5j]]
+    table = sample(4, params.n, 8)
+    with mpmath.workdps(50):
+        sums = [_power_sums_mp(params, eps, 5) for eps in table]
+        for coeffs in polys:
+            values = SpectralTraceFunction(AnalyticFunction.polynomial(coeffs), params).evaluate_block(table)
+            for value, row in zip(values, sums):
+                reference = complex(mpmath.fsum(mpmath.mpmathify(c) * t for c, t in zip(coeffs, row)) / params.n)
+                assert abs(value - reference) <= 1e-14 * abs(reference), (coeffs, value, reference)
+
+
+@pytest.mark.parametrize("side", [3, 6])
+def test_power_sums_same_bits_for_any_split(side):
+    params = ResolventParams(1.5, 0.75, laplacian(build_torus_cayley(side)))
+    table = _pair_table(8, params.n, 4)
+    for coeffs in ([0.0, 0.0, 1.0], [1.0, -2.0, 0.5], [0.5, 1.0, -1.0, 0.25, 0.0, 0.125], [0.0, 1j, 2.0, -1j]):
+        fn = SpectralTraceFunction(AnalyticFunction.polynomial(coeffs), params)
+        whole = fn.evaluate_block(table).tolist()
+        for size in (1, 7):
+            assert np.concatenate([fn.evaluate_block(table[at:at + size]) for at in range(0, len(table), size)]).tolist() == whole
+        assert [fn.evaluate(eps) for eps in table] == whole
+
+
+def test_trailing_zero_coefficients_are_dropped(torus3_params):
+    padded, square = AnalyticFunction.from_spec("poly:0,0,1,0,0"), AnalyticFunction.from_spec("poly:0,0,1")
+    assert padded.coefficients == square.coefficients == (0.0, 0.0, 1.0)
+    assert padded.name == "poly:0,0,1,0,0"
+    assert AnalyticFunction.from_spec("poly:0,0").coefficients == (0.0,)
+    assert AnalyticFunction.exp_scaled(0.3).coefficients is None
+    table = _pair_table(6, 9, 2)
+    block = SpectralTraceFunction(padded, torus3_params).evaluate_block(table)
+    assert block.tolist() == SpectralTraceFunction(square, torus3_params).evaluate_block(table).tolist()
+
+
+@pytest.mark.parametrize("side", [3, 6])
+def test_exp_keeps_stacked_eigvalsh(side):
+    # an h without coefficients is read off the eigenvalues, by the same formula as before power sums
+    params = ResolventParams(0.7, 1.3, laplacian(build_torus_cayley(side)))
+    h = AnalyticFunction.exp_scaled(0.3)
+    table = _pair_table(6, params.n, 9)
+    stack = -params.laplacian - params.lam * table[:, :, None] * np.eye(params.n)
+    expected = np.mean(h(np.linalg.eigvalsh(stack)), axis=1)
+    assert SpectralTraceFunction(h, params).evaluate_block(table).tolist() == expected.tolist()
+
+
+def test_quadrature_sum_overflow_is_not_finite():
+    # |h| is finite at every node, about 1e308, but its sum over the nodes overflows
+    huge = AnalyticFunction.polynomial([0.0, 0.0, 1e306])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match=r"integral of \|h\| is not finite"):
+            contour_norm_integral(huge, 4, 1.0, 1.0)
