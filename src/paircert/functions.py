@@ -28,7 +28,8 @@ Functions also take a (k, n) sign table at once. `_operators` assembles
 the stack of base - lam*D_eps, one matrix per row. With base -Lap it is
 H_eps for the spectral trace: a polynomial h = sum_k c_k z^k takes
 (1/n) * sum_k c_k Tr H^k, each power sum one dot product of the entries
-of two stacked matmul powers, and any other h takes eigvalsh. With base
+of two stacked matmul powers, while those matmuls cost less than one
+eigvalsh (POWER_SUM_BUDGET); any other h takes eigvalsh. With base
 (lam+gamma)I - Lap the resolvent leaves M^-1 in it. dpotrf and dpotri
 from numpy's bundled OpenBLAS, called through ctypes with the GIL
 released, invert each matrix in place; LAPACK reads a C-ordered matrix
@@ -59,6 +60,11 @@ QUADRATURE_RTOL = 1e-10
 QUADRATURE_NODE_CAP = 1 << 20
 
 BLOCK_ENTRIES = 1 << 15
+
+# A polynomial h of degree deg takes m = ceil(deg/2) - 1 matmuls a row for its power sums,
+# and takes them while m*m*n <= POWER_SUM_BUDGET, else eigvalsh. At one BLAS thread the power
+# sums measured faster up to m = 9 at n = 36, 5 or 6 at n = 100, 3 at n = 225 and 2 at n = 400.
+POWER_SUM_BUDGET = 2500
 
 
 def _load_openblas() -> ctypes.CDLL | None:
@@ -296,15 +302,31 @@ class AnalyticFunction:
     the closed disk |z - d| <= d + lam + gamma needed by the spectral
     trace and the contour constant; the built-in constructors produce
     entire functions and always set it. Evaluators must accept numpy
-    arrays of any shape and act elementwise. `coefficients`, set by
-    `polynomial`, are c_0, ..., c_deg of a polynomial h, low to high with
-    trailing zeros dropped; None means h has none, as for `exp_scaled`.
+    arrays of any shape and act elementwise. A polynomial h gives its
+    `coefficients` c_0, ..., c_deg, low to high, in place of an evaluator:
+    trailing zeros are dropped and the evaluator is built from them, so the
+    spectral trace and the contour constant read one h. None, as for
+    `exp_scaled`, means h is known by its evaluator alone.
     """
 
     name: str
-    evaluator: Callable
+    evaluator: Callable | None
     attested: bool
     coefficients: tuple | None = None
+
+    def __post_init__(self):
+        if (self.evaluator is None) == (self.coefficients is None):
+            raise ValueError(f"{self.name}: give an evaluator or coefficients, not both or neither")
+        if self.coefficients is None:
+            return
+        coeffs = [complex(c) if isinstance(c, complex) else float(c) for c in self.coefficients]
+        if not coeffs:
+            raise ValueError("polynomial needs at least one coefficient")
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError(f"polynomial coefficients must be finite, got {coeffs}")
+        coeffs = tuple(coeffs[: max([k for k, c in enumerate(coeffs) if c != 0], default=0) + 1])
+        object.__setattr__(self, "coefficients", coeffs)  # frozen dataclass
+        object.__setattr__(self, "evaluator", lambda z: np.polynomial.polynomial.polyval(z, coeffs))
 
     def __call__(self, z):
         return self.evaluator(z)
@@ -312,19 +334,9 @@ class AnalyticFunction:
     @staticmethod
     def polynomial(coefficients) -> "AnalyticFunction":
         """h(z) = sum_k c_k z^k, coefficients low-to-high."""
-        coeffs = [complex(c) if isinstance(c, complex) else float(c) for c in coefficients]
-        if not coeffs:
-            raise ValueError("polynomial needs at least one coefficient")
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError(f"polynomial coefficients must be finite, got {coeffs}")
+        coeffs = tuple(coefficients)
         name = "poly:" + ",".join(format(c, "g") for c in coeffs)
-        degree = max([k for k, c in enumerate(coeffs) if c != 0], default=0)
-        return AnalyticFunction(
-            name=name,
-            evaluator=lambda z: np.polynomial.polynomial.polyval(z, coeffs),
-            attested=True,
-            coefficients=tuple(coeffs[: degree + 1]),
-        )
+        return AnalyticFunction(name=name, evaluator=None, attested=True, coefficients=coeffs)
 
     @staticmethod
     def exp_scaled(s: float) -> "AnalyticFunction":
@@ -355,7 +367,8 @@ class SpectralTraceFunction(BernoulliFunction):
     """Normalized trace of h(H_eps), H_eps = -lam*D_eps - Lap.
 
     A polynomial h, one with `coefficients`, takes it from the power sums
-    Tr H^k; any other h from the eigenvalues of each H_eps.
+    Tr H^k while their matmuls fit POWER_SUM_BUDGET at this n; a higher
+    degree and any other h take the eigenvalues of each H_eps.
     """
 
     def __init__(self, h: AnalyticFunction, params: ResolventParams):
@@ -365,12 +378,14 @@ class SpectralTraceFunction(BernoulliFunction):
         self.h = h
         self.params = params
         self._neg_lap = -params.laplacian
+        matmuls = max(0, len(h.coefficients or ()) // 2 - 1)
+        self._coefficients = h.coefficients if matmuls * matmuls * self.n <= POWER_SUM_BUDGET else None
 
     def evaluate_block(self, table: np.ndarray) -> np.ndarray:
         table = np.asarray(table)
         m = _operators(self._neg_lap, self.params.lam, table)
         self._factorizations.add(len(table))
-        coeffs = self.h.coefficients
+        coeffs = self._coefficients
         if coeffs is None:
             return np.mean(self.h(np.linalg.eigvalsh(m)), axis=1)
         k, n = len(table), self.n

@@ -640,8 +640,9 @@ def test_power_sums_match_50_digit_reference(side):
                 assert abs(value - reference) <= 1e-14 * abs(reference), (coeffs, value, reference)
 
 
-@pytest.mark.parametrize("side", [3, 6])
+@pytest.mark.parametrize("side", [3, 6, 10])
 def test_power_sums_same_bits_for_any_split(side):
+    # at side 10, n*n = 10000 entries a row outrun numpy's 8192-element iterator buffer, and a block holds 3 rows
     params = ResolventParams(1.5, 0.75, laplacian(build_torus_cayley(side)))
     table = _pair_table(8, params.n, 4)
     for coeffs in ([0.0, 0.0, 1.0], [1.0, -2.0, 0.5], [0.5, 1.0, -1.0, 0.25, 0.0, 0.125], [0.0, 1j, 2.0, -1j]):
@@ -661,6 +662,42 @@ def test_trailing_zero_coefficients_are_dropped(torus3_params):
     table = _pair_table(6, 9, 2)
     block = SpectralTraceFunction(padded, torus3_params).evaluate_block(table)
     assert block.tolist() == SpectralTraceFunction(square, torus3_params).evaluate_block(table).tolist()
+
+
+def test_coefficients_build_the_evaluator():
+    # f1 reads the coefficients and kappa the evaluator, so a polynomial h takes no evaluator of its own
+    user = AnalyticFunction(name="user", evaluator=None, attested=True, coefficients=(1, 0.5j, -2.0, 0.0))
+    assert user.coefficients == (1.0, 0.5j, -2.0)
+    z = np.array([0.3, -2.0 + 1.5j, 7.0j])
+    assert user(z).tolist() == (1.0 + 0.5j * z - 2.0 * z * z).tolist()
+    for evaluator, coefficients in ((np.exp, (1.0, 1.0)), (None, None)):
+        with pytest.raises(ValueError, match="evaluator or coefficients"):
+            AnalyticFunction(name="user", evaluator=evaluator, attested=True, coefficients=coefficients)
+    for coefficients, message in (((), "at least one"), ((1.0, math.inf), "finite")):
+        with pytest.raises(ValueError, match=message):
+            AnalyticFunction(name="user", evaluator=None, attested=True, coefficients=coefficients)
+
+
+@pytest.mark.parametrize("side, degree", [(6, 18), (15, 8)])
+def test_power_sum_budget_picks_the_kernel(monkeypatch, side, degree):
+    # ceil(deg/2) - 1 matmuls a row: power sums while matmuls^2 * n <= POWER_SUM_BUDGET, one degree
+    # more takes the stacked eigvalsh of an h without coefficients
+    params = ResolventParams(1.0, 1.0, laplacian(build_torus_cayley(side)))
+    n = params.n
+    matmuls = [(d + 1) // 2 - 1 for d in (degree, degree + 1)]
+    assert matmuls[0] ** 2 * n <= functions.POWER_SUM_BUDGET < matmuls[1] ** 2 * n
+    table = _pair_table(3, n, 5)
+    below = SpectralTraceFunction(AnalyticFunction.polynomial([0.0] * degree + [1.0]), params)
+    above = SpectralTraceFunction(AnalyticFunction.polynomial([0.0] * (degree + 1) + [1.0]), params)
+    stack = -params.laplacian - params.lam * table[:, :, None] * np.eye(n)
+    assert above.evaluate_block(table).tolist() == np.mean(above.h(np.linalg.eigvalsh(stack)), axis=1).tolist()
+    expected = np.mean(below.h(np.linalg.eigvalsh(stack)), axis=1)
+
+    def refuse(_):
+        raise AssertionError("eigvalsh below the power-sum budget")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    np.testing.assert_allclose(below.evaluate_block(table), expected, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("side", [3, 6])
