@@ -16,7 +16,8 @@ width <= 10*g(1,...,1)/p with probability >= 0.9.
 
 When f itself may have signed or complex coefficients but a second
 function g2 with nonnegative coefficients dominates it coefficientwise,
-|F_1 - E[f_1]| <= G_2 realizationwise: a disk certificate.
+|F_1 - E[f_1]| <= G_2 realizationwise: a disk certificate. F_1 and G_2
+average over the same pairs, so one sweep evaluates f1 and g2 on each block.
 
 Pairs are evaluated in chunks of block_rows(n), and a value's bits do not
 depend on its chunk. All pair sums are reduced with math.fsum, which returns
@@ -180,20 +181,16 @@ def _pair_sweep(evaluate_block, signs: np.ndarray, threads: int):
     return averages, ones
 
 
-def _run(functions, p: int, seed: int, threads: int, with_g: bool):
-    """Sample p sign vectors from seed once and sweep the pairs once per
-    function, in order, over (f, g) when with_g and over f alone otherwise.
-    Returns each sweep's (averages, values at all-ones) and the run's counters."""
+def _run(evaluate_block, functions, p: int, seed: int, threads: int):
+    """Sample p sign vectors from seed and sweep their pairs once with
+    evaluate_block. Returns the sweep's averages and values at all-ones, and
+    the run's counters, whose factorizations sum those of `functions`."""
     start = time.perf_counter()
     factorizations_before = sum(fn.factorization_count for fn in functions)
-    signs = sample(p, functions[0].n, seed)
-    sweeps = []
-    for fn in functions:
-        block = fn.evaluate_block_with_g if with_g else lambda table: (fn.evaluate_block(table),)
-        sweeps.append(_pair_sweep(block, signs, threads))
+    averages, ones = _pair_sweep(evaluate_block, sample(p, functions[0].n, seed), threads)
     factorizations = sum(fn.factorization_count for fn in functions) - factorizations_before
     wall_ms = (time.perf_counter() - start) * 1e3
-    return sweeps, EvalCounters(evaluations=p * (p - 1) // 2 + 1, factorizations=factorizations, wall_ms=wall_ms)
+    return averages, ones, EvalCounters(evaluations=p * (p - 1) // 2 + 1, factorizations=factorizations, wall_ms=wall_ms)
 
 
 def markov_apriori(c: float, p: int) -> float:
@@ -231,7 +228,7 @@ def certify(fn: BernoulliFunction, p: int, seed: int, threads: int = 1) -> Certi
     checked here (it is a structural property of the function; see the
     oracle module for small-n verification).
     """
-    [((f_bar, g_bar), (_, g_one))], counters = _run((fn,), p, seed, threads, with_g=True)
+    (f_bar, g_bar), (_, g_one), counters = _run(fn.evaluate_block_with_g, (fn,), p, seed, threads)
     lower, upper = f_bar - g_bar - NUMERICAL_SLACK, f_bar + NUMERICAL_SLACK
     if not lower <= upper:
         raise FactorizationError(f"numerical breakdown: g_bar={g_bar!r} leaves the empty interval [{lower!r}, {upper!r}]")
@@ -262,13 +259,13 @@ def certify_dominated(f1: BernoulliFunction, g2: BernoulliFunction, p: int, seed
     """Disk certificate for E[f1] using a coefficientwise dominating g2.
 
     g2 must be the flip half-sum of a nonnegative-coefficient function
-    whose Walsh coefficients dominate |a_S(f1)| entrywise; both averages
-    use the same sample set, so one seed fixes the whole certificate.
+    whose Walsh coefficients dominate |a_S(f1)| entrywise. One sweep takes
+    f1 and g2 on each block of pair products, so both averages come from the
+    same sample set and one seed fixes the whole certificate.
     """
     if g2.n != f1.n:
         raise ValueError(f"g2 dimension {g2.n} does not match f1 dimension {f1.n}")
-    # Two passes, not one fused sweep: fusing f1 and g2 into one loop measured slower (torus:6, p=60).
-    [((center,), _), ((radius,), _)], counters = _run((f1, g2), p, seed, threads, with_g=False)
+    (center, radius), _, counters = _run(lambda table: (f1.evaluate_block(table), g2.evaluate_block(table)), (f1, g2), p, seed, threads)
     radius = float(radius) + NUMERICAL_SLACK
     if not radius >= 0.0:
         raise FactorizationError(f"numerical breakdown: the computed radius {radius!r} is negative")

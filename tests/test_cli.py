@@ -205,6 +205,38 @@ def test_nonfinite_disorder_exit2(capsys, lam, gamma, fragment):
     assert fragment in err and "finite" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--graph", "torus:3", "--lambda", "1", "--gamma", "1e-120", "--p", "2", "--seed", "1"],
+        ["oracle", "--graph", "torus:3", "--lambda", "1", "--gamma", "1e-120"],
+        ["certify", "--graph", "torus:3", "--lambda", "1", "--gamma", "1e-120", "--p", "2", "--seed", "1", "--h", "poly:0,0,1"],
+        ["certify", "--graph", "torus:3", "--lambda", "1e17", "--gamma", "1", "--p", "2", "--seed", "1"],
+        ["bench", "--graph", "torus:3", "--lambda", "1e17", "--gamma", "1", "--p", "2", "--seed", "1"],
+        # just outside the bound for n = 9, d = 4, lam = 1, which lies between gamma = 6e-14 and 7e-14
+        ["certify", "--graph", "torus:3", "--lambda", "1", "--gamma", "6e-14", "--p", "2", "--seed", "1"],
+    ],
+    ids=["certify", "oracle", "disc", "lambda-1e17", "bench-lambda-1e17", "just-outside"],
+)
+def test_unfactorable_disorder_exit2_before_run(capsys, monkeypatch, argv):
+    # gamma lost to rounding on M's diagonal: at gamma = 1e-120 certify used to exit 0 with
+    # upper = 5.6e14 while E[f] is 2.2e116, and lambda = 1e17 exited 1 at dpotrf
+    for name in ("cmd_certify", "cmd_oracle", "cmd_bench"):
+        monkeypatch.setattr(cli, name, lambda *_: pytest.fail("the refusal must come before the run"))
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "positive definite" in err
+
+
+def test_just_inside_the_factorization_bound_runs(capsys):
+    argv = ["certify", "--graph", "torus:3", "--lambda", "1", "--gamma", "7e-14", "--p", "2", "--seed", "1"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["config"]["gamma"] == 7e-14
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "1e-310", "1e-300"])
 def test_bad_delta_exit2(capsys, value):
     for yes in ([], ["--yes"]):

@@ -323,6 +323,48 @@ def test_dominated_complex_center(torus3, torus3_params):
     assert doc["center_im"] == pytest.approx(cert.center.imag)
 
 
+def test_dominated_is_one_sweep(monkeypatch, torus3, torus3_params):
+    # f1 and g2 share one sample, one pool, one all-ones call each and one sweep: every block
+    # goes to f1 and then to g2 in the thread that formed it
+    pools, calls = [], []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    class Recording:
+        def __init__(self, name, fn):
+            self.name, self.fn, self.n = name, fn, fn.n
+
+        def evaluate_block(self, table):
+            calls.append((self.name, threading.get_ident(), table.tobytes()))
+            return self.fn.evaluate_block(table)
+
+        @property
+        def factorization_count(self):
+            return self.fn.factorization_count
+
+    monkeypatch.setattr(estimator, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(estimator, "block_rows", lambda _: 7)
+    ones = all_ones(9)[None].tobytes()
+    f1, f2 = dominating_resolvent_scale(AnalyticFunction.polynomial([0.0, 0.0, 1.0]), torus3_params, torus3)
+    reference = certify_dominated(f1, GFunction(f2), 12, 3, threads=1)
+    for threads in (1, 3):
+        pools.clear()
+        calls.clear()
+        cert = certify_dominated(Recording("f1", f1), Recording("g2", GFunction(f2)), 12, 3, threads=threads)
+        assert pools == [threads]
+        assert [name for name, _, table in calls if table == ones] == ["f1", "g2"]
+        for thread in {thread for _, thread, _ in calls}:
+            mine = [(name, table) for name, t, table in calls if t == thread]
+            assert [name for name, _ in mine] == ["f1", "g2"] * (len(mine) // 2)
+            assert [table for name, table in mine if name == "f1"] == [table for name, table in mine if name == "g2"]
+        if threads == 1:  # all-ones, then the 66 pairs in nine blocks of 7 and one of 3
+            assert len(calls) == 2 * 11
+        assert cert.to_json_dict() == reference.to_json_dict()
+
+
 def test_wall_time_quadratic_in_p():
     # doubling p roughly quadruples the pair count, so wall time should too
     params = ResolventParams(1.0, 1.0, laplacian(build_torus_cayley(10)))
