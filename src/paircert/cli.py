@@ -14,7 +14,8 @@ bits come from LAPACK and can differ by BLAS build and CPU.
 
 Exit codes: 0 success, 1 numerical failure, unwritable --out or failed
 verdict, 2 usage or configuration error (including budget refusals and a
-gamma too small against lam for rounding to keep M(eps) positive definite).
+gamma too small against lam for rounding to keep M(eps) positive definite,
+which ResolventParams refuses before any subcommand runs).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import json
 import os
 import sys
 import timeit
-from fractions import Fraction
 
 from . import functions
 from .estimator import (
@@ -85,38 +85,6 @@ def _load_graph(spec: str) -> Graph:
             raise ValueError(f"cannot read edge list {rest!r}: {exc}") from None
         return from_edge_list(text)
     raise ValueError(f"unknown graph spec {spec!r}; expected torus:M or edges:PATH")
-
-
-def _require_positive_definite(graph: Graph, params: ResolventParams) -> None:
-    """Refuse, with ValueError, a run in which the computed M(eps) cannot be
-    shown positive definite for every eps, so Cholesky could fail or, worse,
-    succeed on a matrix that has lost gamma.
-
-    With Lap = A - D_G, M(eps) = (lam+gamma)I - lam*D_eps + D_G - A has its
-    spectrum in [gamma, gamma + 2*lam + 2*d], d the maximum degree, and its
-    diagonal entries are at most c = 2*lam + gamma + d. The degrees, the
-    adjacency and lam*eps_i are exact, so only the diagonal is rounded, as
-    fl(fl(fl(lam+gamma) + d_i) - lam*eps_i): three roundings of numbers of
-    modulus at most c*(1+u)^2, u = 2^-53. The computed matrix is thus M(eps)
-    plus a diagonal of modulus at most delta = 3u*c*(1+u)^2 < 4u*c. By Weyl
-    its smallest eigenvalue is at least gamma - delta, and its largest
-    diagonal entry is at most c + delta, so scaled to unit diagonal it has
-    smallest eigenvalue at least (gamma - delta)/(c + delta). By Demmel's
-    theorem (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    section 10.1.1), Cholesky then runs to completion in floating point, in
-    any order of its inner products, when that exceeds n*g/(1 - g) with
-    g = (n+1)u/(1 - (n+1)u). The test runs in exact rationals. It holds for
-    a graph Laplacian only, which is why it lives here and not in
-    ResolventParams.
-    """
-    n, u, gamma = graph.n, Fraction(1, 2**53), Fraction(params.gamma)
-    c = 2 * Fraction(params.lam) + gamma + graph.max_degree
-    delta, g = 4 * u * c, (n + 1) * u / (1 - (n + 1) * u)
-    if not (gamma - delta) * (1 - g) > n * g * (c + delta):
-        raise ValueError(
-            f"gamma={params.gamma:g} is too small for lam={params.lam:g}, max degree {graph.max_degree} and n={n}:"
-            " positive definiteness of the computed M(eps) cannot be shown (Demmel's condition for Cholesky)"
-        )
 
 
 def _config_json(args: argparse.Namespace, graph: Graph, p: int | None) -> dict:
@@ -360,7 +328,6 @@ def main(argv=None) -> int:
     try:
         graph = _load_graph(args.graph)
         params = ResolventParams(args.lam, args.gamma, laplacian(graph))
-        _require_positive_definite(graph, params)
         doc, lines, ok = args.func(args, graph, params)
         text = json.dumps(doc, indent=2) + "\n"
         sys.stdout.write(text)

@@ -6,8 +6,9 @@ The workhorse is the normalized resolvent trace on a graph,
 
 where D_eps is the diagonal of the sign vector. The matrix is positive
 definite with smallest eigenvalue >= gamma for every eps, so a Cholesky
-factorization must succeed; a failure signals corrupted input, not an
-edge case, and is raised as FactorizationError.
+factorization must succeed once ResolventParams has shown that rounding
+cannot take that away; a failure signals corrupted input, not an edge
+case, and is raised as FactorizationError.
 
 The flip half-sum
 
@@ -114,7 +115,23 @@ class AttestationError(ValueError):
 
 @dataclass(frozen=True)
 class ResolventParams:
-    """Disorder strength lam, spectral gap gamma, and the graph Laplacian."""
+    """Disorder strength lam, spectral gap gamma, and the graph Laplacian.
+
+    Construction refuses, with ValueError, a (lam, gamma) for which the computed
+    M(eps) = (lam+gamma)I - lam*D_eps - Lap cannot be shown positive definite for every eps, so
+    Cholesky could fail or, worse, succeed on a matrix that has lost gamma. When -Lap is positive
+    semidefinite, as a graph Laplacian A - D_G is, M(eps) >= gamma*I, and its diagonal entries are
+    at most c = 2*lam + gamma + d, d = max |Lap_ii| (`max_degree`). Off the diagonal, -Lap_ij is
+    exact, and so is lam*eps_i, so only the diagonal is rounded, as fl(fl(fl(lam+gamma) - Lap_ii) -
+    lam*eps_i): three roundings of numbers of modulus at most c*(1+u)^2, u = 2^-53. The computed matrix is thus M(eps)
+    plus a diagonal of modulus at most delta = 3u*c*(1+u)^2 < 4u*c. By Weyl its smallest eigenvalue
+    is at least gamma - delta, and its largest diagonal entry is at most c + delta, so scaled to unit
+    diagonal its smallest eigenvalue is at least (gamma - delta)/(c + delta). By Demmel's theorem
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., section 10.1.1), Cholesky then
+    runs to completion in floating point, in any order of its inner products, when that exceeds
+    n*g/(1 - g) with g = (n+1)u/(1 - (n+1)u). The test runs in exact rationals. When -Lap is not
+    positive semidefinite it proves nothing, and dpotrf may still raise FactorizationError.
+    """
 
     lam: float
     gamma: float
@@ -142,10 +159,22 @@ class ResolventParams:
             raise ValueError("laplacian must be symmetric")
         object.__setattr__(self, "laplacian", lap)  # frozen dataclass
         lap.setflags(write=False)
+        from fractions import Fraction  # imported here, so that `import paircert` does not load it
+        n, u, gamma, d = self.n, Fraction(1, 2**53), Fraction(self.gamma), self.max_degree
+        c = 2 * Fraction(self.lam) + gamma + Fraction(d)
+        delta, g = 4 * u * c, (n + 1) * u / (1 - (n + 1) * u)
+        if not (gamma - delta) * (1 - g) > n * g * (c + delta):
+            msg = f"gamma={self.gamma:g} is too small for lam={self.lam:g}, max degree {d:g} and n={n}"
+            raise ValueError(f"{msg}: positive definiteness of the computed M(eps) cannot be shown (Demmel's condition for Cholesky)")
 
     @property
     def n(self) -> int:
         return self.laplacian.shape[0]
+
+    @property
+    def max_degree(self) -> float:
+        """d = max |Lap_ii|, the maximum degree when Lap is a graph Laplacian."""
+        return float(np.abs(np.diagonal(self.laplacian)).max(initial=0.0))
 
 
 class _Counter:
@@ -455,10 +484,11 @@ def dominating_resolvent_scale(h: AnalyticFunction, params: ResolventParams, gra
     trace with scale=kappa, kappa from `contour_norm_integral` at the
     graph's maximum degree. Every Walsh coefficient of f1 is bounded in
     modulus by the corresponding (nonnegative) coefficient of f2, which is
-    what the dominated certificate requires.
+    what the dominated certificate requires. A graph whose n or maximum
+    degree is not the Laplacian's raises ValueError.
     """
-    if params.n != graph.n:
-        raise ValueError(f"laplacian dimension {params.n} does not match graph vertex count {graph.n}")
+    if (params.n, params.max_degree) != (graph.n, graph.max_degree):
+        raise ValueError(f"laplacian (n={params.n}, max degree {params.max_degree:g}) does not match graph (n={graph.n}, max degree {graph.max_degree})")
     kappa = contour_norm_integral(h, graph.max_degree, params.lam, params.gamma)
     f1 = SpectralTraceFunction(h, params)
     f2 = ResolventTraceFunction(params, scale=kappa)

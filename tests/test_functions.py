@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -30,7 +31,7 @@ from paircert.functions import (
     dominating_resolvent_scale,
     naive_g,
 )
-from paircert.graph import build_torus_cayley, laplacian
+from paircert.graph import build_torus_cayley, from_edge_list, laplacian
 from paircert.sampling import all_ones, flip, sample
 
 from conftest import (
@@ -162,6 +163,34 @@ def test_resolvent_params_validation(torus3):
             ResolventParams(1.0, 1.0, lap.astype(dtype))
     listed = ResolventParams(1.0, 1.0, lap.tolist()).laplacian
     assert listed.dtype == np.float64 and np.array_equal(listed, lap)
+
+
+@pytest.mark.parametrize(
+    "lam, gamma, ok",
+    [(1.0, 1e-120, False), (1.0, 6e-14, False), (1.0, 7e-14, True), (1e17, 1.0, False)],
+    ids=["gamma-1e-120", "gamma-6e-14", "gamma-7e-14", "lambda-1e17"],
+)
+def test_resolvent_params_refuses_unfactorable(torus3, lam, gamma, ok):
+    # rounding M(eps)'s diagonal could take gamma away: at gamma = 1e-120 certify returned
+    # [-1.97e15, 5.6e14] while E[f] is 2.17e116; on torus:3 at lam = 1 the bound lies in (6e-14, 7e-14)
+    if ok:
+        assert ResolventParams(lam, gamma, laplacian(torus3)).max_degree == 4
+    else:
+        with pytest.raises(ValueError, match="positive definite"):
+            ResolventParams(lam, gamma, laplacian(torus3))
+
+
+def test_factorization_bound_reads_the_maximum_degree():
+    # a 6-vertex star has degrees 5 and 1. With c = 2*lam + gamma + d, Demmel's condition
+    # (gamma - 4uc)(1 - g) > n*g*(c + 4uc) is linear in gamma: solve it at lam = 1, d = 5
+    star = from_edge_list("6\n0 1\n0 2\n0 3\n0 4\n0 5")
+    n, u = star.n, Fraction(1, 2**53)
+    g = (n + 1) * u / (1 - (n + 1) * u)
+    slope, offset = (1 - 4 * u) * (1 - g) - n * g * (1 + 4 * u), 4 * u * (1 - g) + n * g * (1 + 4 * u)
+    bound = float((2 + star.max_degree) * offset / slope)
+    with pytest.raises(ValueError, match="positive definite"):
+        ResolventParams(1.0, 0.99 * bound, laplacian(star))
+    assert ResolventParams(1.0, 1.01 * bound, laplacian(star)).max_degree == 5
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -368,8 +397,12 @@ def test_dominating_pair_single_vertex_square():
 
 def test_dominating_pair_dimension_check(torus3_params):
     one = AnalyticFunction.polynomial([1.0])
-    with pytest.raises(ValueError, match="match"):
-        dominating_resolvent_scale(one, torus3_params, build_torus_cayley(4))
+    # a wrong n; and torus:4's Laplacian with the 16-cycle, whose max degree 2 would draw the contour too small
+    cycle = from_edge_list("16\n" + "\n".join(f"{i} {(i + 1) % 16}" for i in range(16)))
+    torus4_params = ResolventParams(1.0, 1.0, laplacian(build_torus_cayley(4)))
+    for params, graph in [(torus3_params, build_torus_cayley(4)), (torus4_params, cycle)]:
+        with pytest.raises(ValueError, match="match"):
+            dominating_resolvent_scale(one, params, graph)
 
 
 def test_eq4_per_coordinate_bound(torus3):
