@@ -28,7 +28,6 @@ from .estimator import (
 )
 from .functions import (
     AnalyticFunction,
-    AttestationError,
     BernoulliFunction,
     FactorizationError,
     GFunction,
@@ -56,7 +55,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticFunction",
-    "AttestationError",
     "BernoulliFunction",
     "BudgetError",
     "Certificate",

@@ -109,10 +109,6 @@ class QuadratureError(RuntimeError):
     """Contour quadrature did not stabilize under node doubling."""
 
 
-class AttestationError(ValueError):
-    """Analytic function used without an analyticity attestation."""
-
-
 @dataclass(frozen=True)
 class ResolventParams:
     """Disorder strength lam, spectral gap gamma, and the graph Laplacian.
@@ -325,22 +321,23 @@ class ResolventTraceFunction(BernoulliFunction):
 
 @dataclass(frozen=True)
 class AnalyticFunction:
-    """Complex function with an analyticity attestation.
+    """Complex function h, analytic on the disk the contour constant needs.
 
-    `attested` records that the function is analytic on a neighborhood of
-    the closed disk |z - d| <= d + lam + gamma needed by the spectral
-    trace and the contour constant; the built-in constructors produce
-    entire functions and always set it. Evaluators must accept numpy
-    arrays of any shape and act elementwise. A polynomial h gives its
-    `coefficients` c_0, ..., c_deg, low to high, in place of an evaluator:
-    trailing zeros are dropped and the evaluator is built from them, so the
-    spectral trace and the contour constant read one h. None, as for
-    `exp_scaled`, means h is known by its evaluator alone.
+    The disc certificate holds only if h is analytic on a neighborhood of
+    the closed disk |z - d| <= d + lam + gamma, since kappa comes from
+    Cauchy's formula on its boundary. No code can check that, so it is the
+    caller's promise: the built-in constructors give entire functions, and
+    at small n the oracle's `check_domination` tests the domination it
+    implies. Evaluators must accept numpy arrays of any shape and act
+    elementwise. A polynomial h gives its `coefficients` c_0, ..., c_deg,
+    low to high, in place of an evaluator: trailing zeros are dropped and
+    the evaluator is built from them, so the spectral trace and the contour
+    constant read one h. None, as for `exp_scaled`, means h is known by its
+    evaluator alone.
     """
 
     name: str
-    evaluator: Callable | None
-    attested: bool
+    evaluator: Callable | None = None
     coefficients: tuple | None = None
 
     def __post_init__(self):
@@ -348,7 +345,7 @@ class AnalyticFunction:
             raise ValueError(f"{self.name}: give an evaluator or coefficients, not both or neither")
         if self.coefficients is None:
             return
-        coeffs = [complex(c) if isinstance(c, complex) else float(c) for c in self.coefficients]
+        coeffs = [complex(c) if isinstance(c, (complex, np.complexfloating)) else float(c) for c in self.coefficients]
         if not coeffs:
             raise ValueError("polynomial needs at least one coefficient")
         if not np.all(np.isfinite(coeffs)):
@@ -365,7 +362,7 @@ class AnalyticFunction:
         """h(z) = sum_k c_k z^k, coefficients low-to-high."""
         coeffs = tuple(coefficients)
         name = "poly:" + ",".join(format(c, "g") for c in coeffs)
-        return AnalyticFunction(name=name, evaluator=None, attested=True, coefficients=coeffs)
+        return AnalyticFunction(name, coefficients=coeffs)
 
     @staticmethod
     def exp_scaled(s: float) -> "AnalyticFunction":
@@ -373,7 +370,7 @@ class AnalyticFunction:
         s = float(s)
         if not math.isfinite(s):
             raise ValueError(f"exponential scale must be finite, got {s}")
-        return AnalyticFunction(name=f"exp:{s:g}", evaluator=lambda z: np.exp(s * z), attested=True)
+        return AnalyticFunction(f"exp:{s:g}", lambda z: np.exp(s * z))
 
     @staticmethod
     def from_spec(text: str) -> "AnalyticFunction":
@@ -401,8 +398,6 @@ class SpectralTraceFunction(BernoulliFunction):
     """
 
     def __init__(self, h: AnalyticFunction, params: ResolventParams):
-        if not h.attested:
-            raise AttestationError(f"{h.name}: analyticity on the contour disk is not attested")
         super().__init__(params.n)
         self.h = h
         self.params = params
@@ -436,8 +431,6 @@ def contour_norm_integral(h: AnalyticFunction, d: int, lam: float, gamma: float)
     analytic integrands; the node count doubles until two consecutive
     levels agree to QUADRATURE_RTOL relative, else QuadratureError.
     """
-    if not h.attested:
-        raise AttestationError(f"{h.name}: analyticity on the contour disk is not attested")
     radius = d + lam + gamma
 
     def level(count: int) -> float:
@@ -446,7 +439,7 @@ def contour_norm_integral(h: AnalyticFunction, d: int, lam: float, gamma: float)
             values = np.abs(h(d + radius * np.exp(1j * t)))
             integral = radius * (float(np.sum(values)) / count)
         if not np.all(np.isfinite(values)):
-            raise QuadratureError(f"{h.name}: |h| is not finite on the contour; check the analyticity attestation")
+            raise QuadratureError(f"{h.name}: |h| is not finite on the contour: a singularity there, or overflow")
         if not math.isfinite(integral):  # |h| finite at every node, its sum not
             raise QuadratureError(f"{h.name}: the contour integral of |h| is not finite")
         return integral

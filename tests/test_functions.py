@@ -16,10 +16,10 @@ from scipy.linalg import lapack
 from scipy.special import i0
 
 from paircert import estimator, functions
+from paircert.estimator import certify_dominated
 from paircert.functions import (
     AnalyticFunction,
     BernoulliFunction,
-    AttestationError,
     FactorizationError,
     GFunction,
     QuadratureError,
@@ -32,6 +32,7 @@ from paircert.functions import (
     naive_g,
 )
 from paircert.graph import build_torus_cayley, from_edge_list, laplacian
+from paircert.oracle import exact_expectation
 from paircert.sampling import all_ones, flip, sample
 
 from conftest import (
@@ -231,10 +232,8 @@ def test_analytic_from_spec():
     h = AnalyticFunction.from_spec("poly:1,0,2")
     z = np.array([0.0, 1.0, 2.0j])
     np.testing.assert_allclose(h(z), 1 + 2 * z**2)
-    assert h.attested
     e = AnalyticFunction.from_spec("exp:0.5")
     np.testing.assert_allclose(e(z), np.exp(0.5 * z))
-    assert e.attested
 
 
 @pytest.mark.parametrize(
@@ -252,14 +251,6 @@ def test_subclass_without_evaluation_method_is_refused():
 
     with pytest.raises(TypeError, match="evaluate or evaluate_block"):
         Empty(3)
-
-
-def test_attestation_required(torus3_params, torus3):
-    sketchy = AnalyticFunction(name="user", evaluator=lambda z: z, attested=False)
-    with pytest.raises(AttestationError):
-        SpectralTraceFunction(sketchy, torus3_params)
-    with pytest.raises(AttestationError):
-        contour_norm_integral(sketchy, torus3.max_degree, 1.0, 1.0)
 
 
 def test_contour_constant_closed_forms():
@@ -299,7 +290,7 @@ def test_quadrature_overflow_detected():
 
 def test_quadrature_rough_integrand_hits_cap():
     # |h| jumps on the contour, so trapezoid levels keep drifting by O(1/N)
-    step = AnalyticFunction(name="step", evaluator=lambda z: np.where(z.real > 0.5, 1.0, 2.0), attested=True)
+    step = AnalyticFunction(name="step", evaluator=lambda z: np.where(z.real > 0.5, 1.0, 2.0))
     with pytest.raises(QuadratureError, match="stabilize"):
         contour_norm_integral(step, 0, 1.0, 1.0)
 
@@ -699,16 +690,42 @@ def test_trailing_zero_coefficients_are_dropped(torus3_params):
 
 def test_coefficients_build_the_evaluator():
     # f1 reads the coefficients and kappa the evaluator, so a polynomial h takes no evaluator of its own
-    user = AnalyticFunction(name="user", evaluator=None, attested=True, coefficients=(1, 0.5j, -2.0, 0.0))
+    user = AnalyticFunction(name="user", evaluator=None, coefficients=(1, 0.5j, -2.0, 0.0))
     assert user.coefficients == (1.0, 0.5j, -2.0)
     z = np.array([0.3, -2.0 + 1.5j, 7.0j])
     assert user(z).tolist() == (1.0 + 0.5j * z - 2.0 * z * z).tolist()
     for evaluator, coefficients in ((np.exp, (1.0, 1.0)), (None, None)):
         with pytest.raises(ValueError, match="evaluator or coefficients"):
-            AnalyticFunction(name="user", evaluator=evaluator, attested=True, coefficients=coefficients)
+            AnalyticFunction(name="user", evaluator=evaluator, coefficients=coefficients)
     for coefficients, message in (((), "at least one"), ((1.0, math.inf), "finite")):
         with pytest.raises(ValueError, match=message):
-            AnalyticFunction(name="user", evaluator=None, attested=True, coefficients=coefficients)
+            AnalyticFunction(name="user", evaluator=None, coefficients=coefficients)
+
+
+def test_numpy_complex_coefficients_keep_their_imaginary_parts():
+    # np.complex64 is not a Python complex, and float() of it drops the imaginary part with a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = AnalyticFunction("user", coefficients=(np.complex64(1 + 2j), np.complex64(0.5j)))
+        assert h.coefficients == (1 + 2j, 0.5j)
+        assert h(np.array([2.0])).tolist() == [1 + 3j]
+
+
+@pytest.mark.parametrize(
+    "h, expected",
+    [(AnalyticFunction("cosh", np.cosh), 112.240), (AnalyticFunction("sq", coefficients=(0, 0, 1)), 20.49)],
+    ids=["cosh", "sq"],
+)
+def test_user_h_without_a_flag_gets_a_sound_disc(h, expected):
+    # analyticity is the caller's promise: an entire h from an evaluator or from coefficients is
+    # taken as it is, and the disc must hold the enumerated E[f1]
+    graph = build_torus_cayley(3)
+    f1, f2 = dominating_resolvent_scale(h, ResolventParams(0.7, 1.3, laplacian(graph)), graph)
+    exact = exact_expectation(f1)
+    assert exact == pytest.approx(expected, rel=1e-5)  # E[Tr H^2 / n] = lam^2 + d^2 + d for sq
+    for seed in range(5):
+        cert = certify_dominated(f1, GFunction(f2), 20, seed)
+        assert abs(cert.center - exact) <= cert.radius
 
 
 @pytest.mark.parametrize("side, degree", [(6, 18), (15, 8)])
