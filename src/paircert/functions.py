@@ -232,7 +232,7 @@ class BernoulliFunction:
 
     @property
     def factorization_count(self) -> int:
-        """O(n^3) factorizations performed so far (cost-model counter)."""
+        """Rows evaluated so far, one factorization each. Outside the tests only `bench/` reads it."""
         return self._factorizations.value
 
 
@@ -456,7 +456,7 @@ def contour_norm_integral(h: AnalyticFunction, d: int, lam: float, gamma: float)
 
 
 class GFunction(BernoulliFunction):
-    """eps -> g(eps) of a wrapped function, from its combined path."""
+    """eps -> g(eps) of a wrapped function, from its combined path. The CLI and `bench/` wrap f2 in it."""
 
     def __init__(self, fn: BernoulliFunction):
         super().__init__(fn.n)

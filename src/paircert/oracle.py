@@ -10,8 +10,7 @@ With values listed in that order, one unnormalized Walsh-Hadamard
 transform maps coefficients to values, and the same transform divided
 by 2^n maps values to coefficients.
 
-This module exists for testing, not production, hence the hard budget
-cap with an explicit error message.
+`paircert oracle` and the tests use it up to n = ENUMERATION_LIMIT.
 """
 
 from __future__ import annotations
@@ -109,7 +108,7 @@ def _exact_mean(values: np.ndarray) -> float | complex:
 
 
 def exact_expectation(fn: BernoulliFunction) -> float | complex:
-    """E[fn] as the exactly enumerated 2^-n-weighted sum."""
+    """E[fn] as the exactly enumerated 2^-n-weighted sum. Outside the tests only `bench/` calls it."""
     return _exact_mean(_enumerate_values(fn))
 
 

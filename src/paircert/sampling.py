@@ -58,7 +58,7 @@ def sample(p: int, n: int, seed: int) -> np.ndarray:
 
 
 def pair_product(signs: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Componentwise product of rows i and j of a sign table (int8; exact)."""
+    """Componentwise product of rows i and j of a sign table (int8; exact). Outside the tests only `bench/` calls it."""
     p = signs.shape[0]
     if not (0 <= i < p and 0 <= j < p):
         raise IndexError(f"row indices ({i}, {j}) out of range for p={p}")

@@ -236,6 +236,35 @@ def test_counters(torus3_params):
     assert again.counters.factorizations == again.counters.evaluations
 
 
+@pytest.mark.parametrize("dominated", [False, True], ids=["interval", "disc"])
+def test_concurrent_certificates_may_share_functions(dominated):
+    # two runs at once on the same function objects: each document, counters included, is a lone run's
+    graph = build_torus_cayley(4)
+    params = ResolventParams(1.0, 1.0, laplacian(graph))
+    if dominated:
+        f1, f2 = dominating_resolvent_scale(AnalyticFunction.polynomial([0.0, 0.0, 1.0]), params, graph)
+        g2 = GFunction(f2)
+
+        def run(seed):
+            return certify_dominated(f1, g2, 60, seed).to_json_dict()
+    else:
+        fn = ResolventTraceFunction(params)
+
+        def run(seed):
+            return certify(fn, 60, seed).to_json_dict()
+
+    seeds = (1, 2)
+    lone = [run(seed) for seed in seeds]
+    barrier = threading.Barrier(len(seeds))
+
+    def together(seed):
+        barrier.wait()
+        return run(seed)
+
+    with ThreadPoolExecutor(max_workers=len(seeds)) as pool:
+        assert list(pool.map(together, seeds)) == lone
+
+
 def test_certificate_serialization(torus3_params):
     cert = certify(ResolventTraceFunction(torus3_params), 3, 4)
     doc = cert.to_json_dict()
