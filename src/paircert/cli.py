@@ -103,9 +103,15 @@ def _config_json(args: argparse.Namespace, graph: Graph, p: int | None) -> dict:
     return doc
 
 
+def _timed(run, *args, **kwargs):
+    """run(*args, **kwargs) and its wall time in ms, which the certificate does not carry."""
+    start = timeit.default_timer()
+    return run(*args, **kwargs), (timeit.default_timer() - start) * 1e3
+
+
 def _certify_resolvent(args: argparse.Namespace, params: ResolventParams):
-    """(p, certificate) for the resolvent trace, p from --p, or from --delta
-    with a cost preview and the --yes gate."""
+    """(p, certificate, wall ms of certify) for the resolvent trace, p from
+    --p, or from --delta with a cost preview and the --yes gate."""
     fn = ResolventTraceFunction(params)
     p = args.p
     if p is None:
@@ -116,12 +122,11 @@ def _certify_resolvent(args: argparse.Namespace, params: ResolventParams):
         # fastest of three calls on a block as the sweep forms them: a cold call or a lone row overstates the run
         table = all_ones(fn.n)[None].repeat(min(block_rows(fn.n), evaluations), axis=0)
         per_eval = min(timeit.repeat(lambda: fn.evaluate_block_with_g(table), number=1, repeat=3)) / len(table)
-        # in floats: at a tiny --delta the integer count is too large to convert
-        estimate = per_eval * (0.5 * float(p) * float(p - 1) + 1.0)
+        estimate = per_eval * evaluations
         print(f"target width {args.delta}: p={p}, {evaluations} combined evaluations, estimated {estimate:.1f}s", file=sys.stderr)
         if p * p > PAIR_BUDGET_WARN and not args.yes:
             raise ValueError(f"--delta {args.delta} picks p={p}, which implies {p * p} pair evaluations (> {PAIR_BUDGET_WARN}); pass --yes to proceed")
-    return p, certify(fn, p, args.seed, threads=args.threads)
+    return (p, *_timed(certify, fn, p, args.seed, threads=args.threads))
 
 
 def _certificate_doc(args: argparse.Namespace, graph: Graph, p: int, cert) -> dict:
@@ -133,13 +138,13 @@ def _certificate_doc(args: argparse.Namespace, graph: Graph, p: int, cert) -> di
     return {"schema_version": SCHEMA_VERSION, "config": _config_json(args, graph, p), **body}
 
 
-def _counters_line(counters: EvalCounters) -> str:
-    return f"evaluations {counters.evaluations}, factorizations {counters.factorizations}, wall {counters.wall_ms:.1f} ms"
+def _counters_line(counters: EvalCounters, wall_ms: float) -> str:
+    return f"evaluations {counters.evaluations}, factorizations {counters.factorizations}, wall {wall_ms:.1f} ms"
 
 
 def cmd_certify(args: argparse.Namespace, graph: Graph, params: ResolventParams) -> tuple[dict, list[str], bool]:
     if args.h is None:
-        p, cert = _certify_resolvent(args, params)
+        p, cert, wall_ms = _certify_resolvent(args, params)
         lines = [
             f"{args.graph}: n={graph.n}, max degree {graph.max_degree}",
             f"lambda={args.lam:g} gamma={args.gamma:g} p={p} seed={args.seed} threads={args.threads}",
@@ -147,7 +152,7 @@ def cmd_certify(args: argparse.Namespace, graph: Graph, params: ResolventParams)
             f"expected width {cert.expected_width:.4e}, markov 90% width {cert.markov_90_width:.4e},"
             f" realized within markov: {'yes' if cert.realized_within_markov else 'NO'}",
             f"a-priori width from c={cert.c_bound:g}: {cert.c_markov_width:.4e}",
-            _counters_line(cert.counters),
+            _counters_line(cert.counters, wall_ms),
         ]
         if cert.width >= abs(cert.f_bar):
             lines.append(f"warning: vacuous enclosure: width {cert.width:.4e} is at least |f_bar| = {abs(cert.f_bar):.4e}")
@@ -158,12 +163,12 @@ def cmd_certify(args: argparse.Namespace, graph: Graph, params: ResolventParams)
         raise ValueError("--delta picks p for the resolvent trace only; with --h, give --p")
     h = AnalyticFunction.from_spec(args.h)
     f1, f2 = dominating_resolvent_scale(h, params, graph)
-    cert = certify_dominated(f1, GFunction(f2), args.p, args.seed, threads=args.threads)
+    cert, wall_ms = _timed(certify_dominated, f1, GFunction(f2), args.p, args.seed, threads=args.threads)
     lines = [
         f"{args.graph}: n={graph.n}, max degree {graph.max_degree}, h={h.name}",
         f"lambda={args.lam:g} gamma={args.gamma:g} p={args.p} seed={args.seed} threads={args.threads}",
         f"E[f1] within {cert.radius!r} of ({cert.center.real!r}, {cert.center.imag!r}i)",
-        _counters_line(cert.counters),
+        _counters_line(cert.counters, wall_ms),
     ]
     if cert.radius >= abs(cert.center):
         lines.append(f"warning: vacuous disc: radius {cert.radius:.4e} is at least |center| = {abs(cert.center):.4e}")
@@ -171,7 +176,7 @@ def cmd_certify(args: argparse.Namespace, graph: Graph, params: ResolventParams)
 
 
 def cmd_reproduce(args: argparse.Namespace, graph: Graph, params: ResolventParams) -> tuple[dict, list[str], bool]:
-    p, cert = _certify_resolvent(args, params)
+    p, cert, wall_ms = _certify_resolvent(args, params)
     ref_lower, ref_upper = REPRODUCE_BRACKET
     intersects = cert.lower <= ref_upper and cert.upper >= ref_lower
     doc = _certificate_doc(args, graph, p, cert)
@@ -180,7 +185,7 @@ def cmd_reproduce(args: argparse.Namespace, graph: Graph, params: ResolventParam
         f"flagship run: {args.graph} (n={graph.n}), lambda=1 gamma=1 p={p} seed={args.seed}",
         f"certified E[f] in [{cert.lower!r}, {cert.upper!r}]",
         f"reference bracket [{ref_lower}, {ref_upper}]: intersection {'nonempty' if intersects else 'EMPTY'}",
-        _counters_line(cert.counters),
+        _counters_line(cert.counters, wall_ms),
     ]
     if not intersects:
         lines.append("error: certified interval misses the reference bracket; both provably contain E[f], so this is a bug")
@@ -228,7 +233,7 @@ def cmd_oracle(args: argparse.Namespace, graph: Graph, params: ResolventParams) 
 
 
 def cmd_bench(args: argparse.Namespace, graph: Graph, params: ResolventParams) -> tuple[dict, list[str], bool]:
-    p, cert = _certify_resolvent(args, params)
+    p, cert, wall_ms = _certify_resolvent(args, params)
     naive_equivalent = (graph.n + 1) * p * p
     speedup = naive_equivalent / cert.counters.factorizations
     doc = {
@@ -240,7 +245,7 @@ def cmd_bench(args: argparse.Namespace, graph: Graph, params: ResolventParams) -
     }
     return doc, [
         f"{args.graph}: n={graph.n}, p={p}",
-        _counters_line(cert.counters),
+        _counters_line(cert.counters, wall_ms),
         f"naive-equivalent f evaluations: (n+1)p^2 = {naive_equivalent}",
         f"speedup from pair symmetry and the rank-one flip sweep: {speedup:.1f}x",
     ], True

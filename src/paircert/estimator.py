@@ -32,7 +32,6 @@ algebraic inequalities above are exact only in real arithmetic.
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -47,17 +46,13 @@ NUMERICAL_SLACK = 1e-8
 
 @dataclass(frozen=True)
 class EvalCounters:
-    """Cost accounting: evaluations, one per row of the pair sweep; factorizations,
-    one per row per function swept; and measured wall time in milliseconds.
-
-    wall_ms is serialized as null so that certificate JSON is byte-stable
-    across machines and thread counts; the measured value stays on the
-    object for reporting.
-    """
+    """Cost accounting: evaluations, one per row of the pair sweep, and
+    factorizations, one per row per function swept. Both follow from the
+    inputs, so equal runs give equal counters. Wall time is the caller's to
+    take; the JSON keeps `wall_ms` as null, as schema 1 requires."""
 
     evaluations: int
     factorizations: int
-    wall_ms: float | None
 
     def to_json_dict(self) -> dict:
         return {"evaluations": self.evaluations, "factorizations": self.factorizations, "wall_ms": None}
@@ -181,15 +176,13 @@ def _pair_sweep(evaluate_block, signs: np.ndarray, threads: int):
     return averages, ones
 
 
-def _run(evaluate_block, functions, p: int, seed: int, threads: int):
-    """Sample p sign vectors from seed and sweep their pairs once with
-    evaluate_block. Returns the sweep's averages and values at all-ones, and
-    counters of the rows handed to each of `functions`, not read from their state."""
-    start = time.perf_counter()
-    averages, ones = _pair_sweep(evaluate_block, sample(p, functions[0].n, seed), threads)
+def _run(evaluate_block, n: int, swept: int, p: int, seed: int, threads: int):
+    """Sample p sign vectors of length n from seed and sweep their pairs once
+    with evaluate_block, which takes `swept` functions on each row. Returns
+    the sweep's averages, its values at all-ones and its counters."""
+    averages, ones = _pair_sweep(evaluate_block, sample(p, n, seed), threads)
     evaluations = p * (p - 1) // 2 + 1
-    wall_ms = (time.perf_counter() - start) * 1e3
-    return averages, ones, EvalCounters(evaluations=evaluations, factorizations=evaluations * len(functions), wall_ms=wall_ms)
+    return averages, ones, EvalCounters(evaluations=evaluations, factorizations=evaluations * swept)
 
 
 def markov_apriori(c: float, p: int) -> float:
@@ -227,7 +220,7 @@ def certify(fn: BernoulliFunction, p: int, seed: int, threads: int = 1) -> Certi
     checked here (it is a structural property of the function; see the
     oracle module for small-n verification).
     """
-    (f_bar, g_bar), (_, g_one), counters = _run(fn.evaluate_block_with_g, (fn,), p, seed, threads)
+    (f_bar, g_bar), (_, g_one), counters = _run(fn.evaluate_block_with_g, fn.n, 1, p, seed, threads)
     lower, upper = f_bar - g_bar - NUMERICAL_SLACK, f_bar + NUMERICAL_SLACK
     if not lower <= upper:
         raise FactorizationError(f"numerical breakdown: g_bar={g_bar!r} leaves the empty interval [{lower!r}, {upper!r}]")
@@ -264,7 +257,7 @@ def certify_dominated(f1: BernoulliFunction, g2: BernoulliFunction, p: int, seed
     """
     if g2.n != f1.n:
         raise ValueError(f"g2 dimension {g2.n} does not match f1 dimension {f1.n}")
-    (center, radius), _, counters = _run(lambda table: (f1.evaluate_block(table), g2.evaluate_block(table)), (f1, g2), p, seed, threads)
+    (center, radius), _, counters = _run(lambda table: (f1.evaluate_block(table), g2.evaluate_block(table)), f1.n, 2, p, seed, threads)
     radius = float(radius) + NUMERICAL_SLACK
     if not radius >= 0.0:
         raise FactorizationError(f"numerical breakdown: the computed radius {radius!r} is negative")

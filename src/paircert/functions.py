@@ -423,7 +423,7 @@ class SpectralTraceFunction(BernoulliFunction):
         return sum(c * t for c, t in zip(coeffs, moments)) / n
 
 
-def contour_norm_integral(h: AnalyticFunction, d: int, lam: float, gamma: float) -> float:
+def contour_norm_integral(h: AnalyticFunction, d: float, lam: float, gamma: float) -> float:
     """Scaling constant kappa = (r/2pi) * integral of |h| over |z - d| = r.
 
     Here r = d + lam + gamma and d is the maximum degree. Trapezoidal
@@ -474,15 +474,15 @@ def dominating_resolvent_scale(h: AnalyticFunction, params: ResolventParams, gra
     """Spectral trace of h plus the contour-scaled resolvent that dominates it.
 
     Returns (f1, f2): f1 is the spectral trace of h and f2 the resolvent
-    trace with scale=kappa, kappa from `contour_norm_integral` at the
-    graph's maximum degree. Every Walsh coefficient of f1 is bounded in
-    modulus by the corresponding (nonnegative) coefficient of f2, which is
-    what the dominated certificate requires. A graph whose n or maximum
-    degree is not the Laplacian's raises ValueError.
+    trace with scale=kappa, kappa from `contour_norm_integral` at the d of
+    the operator, `params.max_degree`. Every Walsh coefficient of f1 is
+    bounded in modulus by the corresponding (nonnegative) coefficient of f2,
+    which is what the dominated certificate requires. A graph whose n or
+    maximum degree is not the Laplacian's raises ValueError.
     """
     if (params.n, params.max_degree) != (graph.n, graph.max_degree):
         raise ValueError(f"laplacian (n={params.n}, max degree {params.max_degree:g}) does not match graph (n={graph.n}, max degree {graph.max_degree})")
-    kappa = contour_norm_integral(h, graph.max_degree, params.lam, params.gamma)
+    kappa = contour_norm_integral(h, params.max_degree, params.lam, params.gamma)
     f1 = SpectralTraceFunction(h, params)
     f2 = ResolventTraceFunction(params, scale=kappa)
     return f1, f2

@@ -159,14 +159,20 @@ def test_p_and_delta_are_exclusive():
     assert excinfo.value.code == 2
 
 
-def test_seed_out_of_range_exit2():
-    with pytest.raises(SystemExit) as excinfo:
-        main(["certify", "--graph", "torus:3", "--lambda", "1", "--gamma", "1", "--p", "3", "--seed", str(2**64)])
-    assert excinfo.value.code == 2
+def test_seed_out_of_range_exit2(capsys):
+    for seed, fragment in ((str(2**64), "outside [0, 2^64)"), ("1.5", "not a decimal or 0x-prefixed hex integer")):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["certify", "--graph", "torus:3", "--lambda", "1", "--gamma", "1", "--p", "3", "--seed", seed])
+        assert excinfo.value.code == 2
+        assert fragment in capsys.readouterr().err
 
 
 # torus:12000 asks for 147 PiB, beyond any 57-bit address space, so the allocation fails at once
-@pytest.mark.parametrize("spec, fragment", [("ring:9", "graph spec"), ("torus:12000", "allocate")], ids=["unknown-kind", "too-large"])
+@pytest.mark.parametrize(
+    "spec, fragment",
+    [("ring:9", "graph spec"), ("torus:12000", "allocate"), ("torus:3.5", "not an integer")],
+    ids=["unknown-kind", "too-large", "non-integer-side"],
+)
 def test_bad_graph_spec_exit2(capsys, spec, fragment):
     code, out, err = run_cli(capsys, ["certify", "--graph", spec, "--lambda", "1", "--gamma", "1", "--p", "3", "--seed", "1"])
     assert code == 2
@@ -297,11 +303,12 @@ def test_delta_with_h_exit2_before_quadrature(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "command", [["certify", "--graph", "torus:3", "--lambda", "1", "--gamma", "1", "--p", "3", "--seed", "1"], ["reproduce"]]
 )
-@pytest.mark.parametrize("threads", ["0", "-2"])
-def test_bad_thread_count_exit2(command, threads):
+@pytest.mark.parametrize("threads, fragment", [("0", "at least 1"), ("-2", "at least 1"), ("1.5", "not an integer")], ids=["0", "-2", "1.5"])
+def test_bad_thread_count_exit2(capsys, command, threads, fragment):
     with pytest.raises(SystemExit) as excinfo:
         main(command + ["--threads", threads])
     assert excinfo.value.code == 2
+    assert fragment in capsys.readouterr().err
 
 
 def test_oracle_budget_exit2(capsys):
@@ -385,6 +392,24 @@ def test_delta_preview_close_to_wall():
     estimated = float(re.search(r"estimated ([0-9.]+)s", err).group(1))
     wall_s = float(re.search(r"wall ([0-9.]+) ms", err).group(1)) / 1e3
     assert estimated <= 3 * wall_s
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--graph", "torus:3", "--lambda", "1", "--gamma", "1", "--p", "20", "--seed", "1"],
+        ["certify", "--graph", "torus:3", "--lambda", "1", "--gamma", "1", "--p", "20", "--seed", "1", "--h", "poly:0,0,1"],
+        ["bench", "--graph", "torus:3", "--lambda", "1", "--gamma", "1", "--p", "20", "--seed", "1"],
+    ],
+    ids=["interval", "disc", "bench"],
+)
+def test_counters_line_reports_wall_time(capsys, argv):
+    # the certificate carries no wall time; the CLI times the run and prints it on stderr alone
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["counters"]["wall_ms"] is None
+    (line,) = [line for line in err.splitlines() if line.startswith("evaluations ")]
+    assert float(re.fullmatch(r"evaluations 191, factorizations \d+, wall ([0-9.]+) ms", line).group(1)) > 0
 
 
 def test_reproduce_fields(capsys):

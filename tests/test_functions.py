@@ -251,6 +251,8 @@ def test_subclass_without_evaluation_method_is_refused():
 
     with pytest.raises(TypeError, match="evaluate or evaluate_block"):
         Empty(3)
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        ConstantFunction(0, 1.0)
 
 
 def test_contour_constant_closed_forms():
@@ -358,6 +360,10 @@ def test_g_function_paths(torus3_params):
     for _ in range(5):
         eps = random_signs(rng, 9)
         assert g.evaluate(eps) == pytest.approx(naive_g(fn, eps), rel=1e-9, abs=1e-14)
+    # g's factorizations are the wrapped function's: one per row of its combined path
+    fresh = GFunction(ResolventTraceFunction(torus3_params))
+    fresh.evaluate_block(all_ones(9)[None].repeat(4, axis=0))
+    assert fresh.factorization_count == fresh.fn.factorization_count == 4
 
 
 def test_dominating_pair_h_one(torus3, torus3_params):

@@ -100,6 +100,7 @@ def test_edge_list_duplicates_blanks_crlf():
         ("x", "line 1"),
         ("0", "line 1"),
         ("", "vertex count"),
+        ("2 1\n0 1", "single vertex count"),
     ],
 )
 def test_edge_list_errors(text, fragment):
@@ -124,3 +125,7 @@ def test_graph_validation():
     for shape in ((2, 3), (0, 0)):
         with pytest.raises(ValueError, match="square"):
             Graph(np.zeros(shape, dtype=np.int64))
+    with pytest.raises(ValueError, match="integer array"):
+        Graph(np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="0 or 1"):
+        Graph(np.array([[0, 2], [2, 0]]))

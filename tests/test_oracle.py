@@ -130,6 +130,8 @@ def test_domination_dimension_mismatch():
     b = walsh_spectrum(ConstantFunction(3, 1.0))
     with pytest.raises(ValueError, match="dimension"):
         check_domination(a, b, 1e-12)
+    with pytest.raises(ValueError, match="need 4 coefficients for n=2"):
+        WalshSpectrum(n=2, coefficients=np.zeros(8))
 
 
 def test_example_pair_dominates(torus3, torus3_params):
