@@ -110,7 +110,7 @@ def _timed(run, *args, **kwargs):
 
 
 def _certify_resolvent(args: argparse.Namespace, params: ResolventParams):
-    """(p, certificate, wall ms of certify) for the resolvent trace, p from
+    """(certificate, wall ms of certify) for the resolvent trace, p from
     --p, or from --delta with a cost preview and the --yes gate."""
     fn = ResolventTraceFunction(params)
     p = args.p
@@ -126,16 +126,16 @@ def _certify_resolvent(args: argparse.Namespace, params: ResolventParams):
         print(f"target width {args.delta}: p={p}, {evaluations} combined evaluations, estimated {estimate:.1f}s", file=sys.stderr)
         if p * p > PAIR_BUDGET_WARN and not args.yes:
             raise ValueError(f"--delta {args.delta} picks p={p}, which implies {p * p} pair evaluations (> {PAIR_BUDGET_WARN}); pass --yes to proceed")
-    return (p, *_timed(certify, fn, p, args.seed, threads=args.threads))
+    return _timed(certify, fn, p, args.seed, threads=args.threads)
 
 
-def _certificate_doc(args: argparse.Namespace, graph: Graph, p: int, cert) -> dict:
+def _certificate_doc(args: argparse.Namespace, graph: Graph, cert) -> dict:
     """The config block followed by the certificate minus what the config
     block already carries."""
     body = cert.to_json_dict()
     for key in ("schema_version", "p", "seed"):
         body.pop(key)
-    return {"schema_version": SCHEMA_VERSION, "config": _config_json(args, graph, p), **body}
+    return {"schema_version": SCHEMA_VERSION, "config": _config_json(args, graph, cert.p), **body}
 
 
 def _counters_line(counters: EvalCounters, wall_ms: float) -> str:
@@ -144,10 +144,10 @@ def _counters_line(counters: EvalCounters, wall_ms: float) -> str:
 
 def cmd_certify(args: argparse.Namespace, graph: Graph, params: ResolventParams) -> tuple[dict, list[str], bool]:
     if args.h is None:
-        p, cert, wall_ms = _certify_resolvent(args, params)
+        cert, wall_ms = _certify_resolvent(args, params)
         lines = [
             f"{args.graph}: n={graph.n}, max degree {graph.max_degree}",
-            f"lambda={args.lam:g} gamma={args.gamma:g} p={p} seed={args.seed} threads={args.threads}",
+            f"lambda={args.lam:g} gamma={args.gamma:g} p={cert.p} seed={args.seed} threads={args.threads}",
             f"E[f] in [{cert.lower!r}, {cert.upper!r}]  (width {cert.width:.4e})",
             f"expected width {cert.expected_width:.4e}, markov 90% width {cert.markov_90_width:.4e},"
             f" realized within markov: {'yes' if cert.realized_within_markov else 'NO'}",
@@ -156,7 +156,7 @@ def cmd_certify(args: argparse.Namespace, graph: Graph, params: ResolventParams)
         ]
         if cert.width >= abs(cert.f_bar):
             lines.append(f"warning: vacuous enclosure: width {cert.width:.4e} is at least |f_bar| = {abs(cert.f_bar):.4e}")
-        return _certificate_doc(args, graph, p, cert), lines, True
+        return _certificate_doc(args, graph, cert), lines, True
 
     if args.delta is not None:
         # choose_p prices the resolvent width 10*lam/(gamma^2*delta), which ignores kappa
@@ -172,21 +172,15 @@ def cmd_certify(args: argparse.Namespace, graph: Graph, params: ResolventParams)
     ]
     if cert.radius >= abs(cert.center):
         lines.append(f"warning: vacuous disc: radius {cert.radius:.4e} is at least |center| = {abs(cert.center):.4e}")
-    return _certificate_doc(args, graph, args.p, cert), lines, True
+    return _certificate_doc(args, graph, cert), lines, True
 
 
 def cmd_reproduce(args: argparse.Namespace, graph: Graph, params: ResolventParams) -> tuple[dict, list[str], bool]:
-    p, cert, wall_ms = _certify_resolvent(args, params)
+    doc, lines, _ = cmd_certify(args, graph, params)
     ref_lower, ref_upper = REPRODUCE_BRACKET
-    intersects = cert.lower <= ref_upper and cert.upper >= ref_lower
-    doc = _certificate_doc(args, graph, p, cert)
+    intersects = doc["lower"] <= ref_upper and doc["upper"] >= ref_lower
     doc["reference"] = {"lower": ref_lower, "upper": ref_upper, "intersects": intersects}
-    lines = [
-        f"flagship run: {args.graph} (n={graph.n}), lambda=1 gamma=1 p={p} seed={args.seed}",
-        f"certified E[f] in [{cert.lower!r}, {cert.upper!r}]",
-        f"reference bracket [{ref_lower}, {ref_upper}]: intersection {'nonempty' if intersects else 'EMPTY'}",
-        _counters_line(cert.counters, wall_ms),
-    ]
+    lines.append(f"flagship reference bracket [{ref_lower}, {ref_upper}]: intersection {'nonempty' if intersects else 'EMPTY'}")
     if not intersects:
         lines.append("error: certified interval misses the reference bracket; both provably contain E[f], so this is a bug")
     return doc, lines, intersects
@@ -233,18 +227,18 @@ def cmd_oracle(args: argparse.Namespace, graph: Graph, params: ResolventParams) 
 
 
 def cmd_bench(args: argparse.Namespace, graph: Graph, params: ResolventParams) -> tuple[dict, list[str], bool]:
-    p, cert, wall_ms = _certify_resolvent(args, params)
-    naive_equivalent = (graph.n + 1) * p * p
+    cert, wall_ms = _certify_resolvent(args, params)
+    naive_equivalent = (graph.n + 1) * cert.p * cert.p
     speedup = naive_equivalent / cert.counters.factorizations
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "config": _config_json(args, graph, p),
+        "config": _config_json(args, graph, cert.p),
         "counters": cert.counters.to_json_dict(),
         "naive_equivalent_evaluations": naive_equivalent,
         "speedup_ratio": speedup,
     }
     return doc, [
-        f"{args.graph}: n={graph.n}, p={p}",
+        f"{args.graph}: n={graph.n}, p={cert.p}",
         _counters_line(cert.counters, wall_ms),
         f"naive-equivalent f evaluations: (n+1)p^2 = {naive_equivalent}",
         f"speedup from pair symmetry and the rank-one flip sweep: {speedup:.1f}x",
@@ -280,7 +274,7 @@ def _add_run_flags(sub: argparse.ArgumentParser, with_samples: bool):
     if with_samples:
         group = sub.add_mutually_exclusive_group(required=True)
         group.add_argument("--p", type=int, help="sample count")
-        group.add_argument("--delta", type=float, help="target expected width; picks p")
+        group.add_argument("--delta", type=float, help="picks the least p whose a-priori 90%% Markov width 10c/(2p), c = 2*lambda/gamma^2, is below DELTA")
         sub.add_argument("--seed", type=_parse_seed, required=True, help="decimal or 0x-hex, in [0, 2^64)")
         sub.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1, help="threads for the pair sweep, the calling thread included")
         sub.add_argument("--yes", action="store_true", help="accept large delta-implied budgets")

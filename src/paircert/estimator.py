@@ -60,32 +60,50 @@ class EvalCounters:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Two-sided enclosure E[f] in [lower, upper] for a coefficientwise
-    nonnegative f, with the width diagnostics that priced the run."""
+    """Two-sided enclosure E[f] in [lower, upper] for a coefficientwise nonnegative f.
+    It stores what its sweep measured; the bounds and widths are properties of that."""
 
     f_bar: float
     g_bar: float
-    lower: float
-    upper: float
     p: int
     seed: int
     g_at_ones: float
-    expected_width: float
-    markov_90_width: float
-    realized_within_markov: bool
     c_bound: float | None
-    c_markov_width: float | None
     counters: EvalCounters
 
     def __post_init__(self):
-        if not self.lower <= self.upper:
-            raise ValueError(f"empty interval: lower={self.lower} > upper={self.upper}")
         if self.p < 1:
             raise ValueError(f"p must be positive, got {self.p}")
 
     @property
+    def lower(self) -> float:
+        return self.f_bar - self.g_bar - NUMERICAL_SLACK
+
+    @property
+    def upper(self) -> float:
+        return self.f_bar + NUMERICAL_SLACK
+
+    @property
     def width(self) -> float:
         return self.upper - self.lower
+
+    @property
+    def markov_90_width(self) -> float:
+        return 10.0 * (self.g_at_ones / self.p)
+
+    @property
+    def expected_width(self) -> float:
+        # derived from markov_90_width by division so the 10x relation holds
+        # exactly in floating point, not only symbolically.
+        return self.markov_90_width / 10.0
+
+    @property
+    def realized_within_markov(self) -> bool:
+        return bool(self.g_bar <= self.markov_90_width)
+
+    @property
+    def c_markov_width(self) -> float | None:
+        return None if self.c_bound is None else markov_apriori(self.c_bound, self.p)
 
     def to_json_dict(self) -> dict:
         return {
@@ -195,9 +213,10 @@ def markov_apriori(c: float, p: int) -> float:
 
 
 def choose_p(lam: float, gamma: float, delta: float) -> int:
-    """Smallest p with expected interval width below delta for the
-    resolvent trace: the least integer strictly greater than
-    10*lam/(gamma^2*delta). The cost of that p is the caller's to weigh.
+    """Smallest p whose a-priori 90% Markov width 10c/(2p), c = 2*lam/gamma^2
+    (markov_apriori; a resolvent certificate's c_markov_width), is below delta: the
+    least integer above 10*lam/(gamma^2*delta). That bounds the expected width by
+    about delta/10 a priori. The cost of that p is the caller's to weigh.
     """
     for name, value in (("lam", lam), ("gamma", gamma), ("delta", delta)):
         if not (math.isfinite(value) and value > 0):
@@ -216,35 +235,18 @@ def choose_p(lam: float, gamma: float, delta: float) -> int:
 def certify(fn: BernoulliFunction, p: int, seed: int, threads: int = 1) -> Certificate:
     """Sample p sign vectors from seed and certify E[fn] in [lower, upper].
 
+    The certificate keeps the sweep's sums and fn's bounded-difference constant.
+    Raises FactorizationError when the computed interval is empty.
+
     Requires every Walsh coefficient of fn to be nonnegative; this is not
     checked here (it is a structural property of the function; see the
     oracle module for small-n verification).
     """
     (f_bar, g_bar), (_, g_one), counters = _run(fn.evaluate_block_with_g, fn.n, 1, p, seed, threads)
-    lower, upper = f_bar - g_bar - NUMERICAL_SLACK, f_bar + NUMERICAL_SLACK
-    if not lower <= upper:
-        raise FactorizationError(f"numerical breakdown: g_bar={g_bar!r} leaves the empty interval [{lower!r}, {upper!r}]")
-
-    # expected_width is derived from markov_90_width by division so the
-    # 10x relation holds exactly in floating point, not only symbolically.
-    markov_width = 10.0 * (g_one / p)
-    expected_width = markov_width / 10.0
-    c = fn.bounded_difference_constant
-    return Certificate(
-        f_bar=f_bar,
-        g_bar=g_bar,
-        lower=lower,
-        upper=upper,
-        p=p,
-        seed=seed,
-        g_at_ones=g_one,
-        expected_width=expected_width,
-        markov_90_width=markov_width,
-        realized_within_markov=bool(g_bar <= markov_width),
-        c_bound=c,
-        c_markov_width=None if c is None else markov_apriori(c, p),
-        counters=counters,
-    )
+    cert = Certificate(f_bar=f_bar, g_bar=g_bar, p=p, seed=seed, g_at_ones=g_one, c_bound=fn.bounded_difference_constant, counters=counters)
+    if not cert.lower <= cert.upper:
+        raise FactorizationError(f"numerical breakdown: g_bar={g_bar!r} leaves the empty interval [{cert.lower!r}, {cert.upper!r}]")
+    return cert
 
 
 def certify_dominated(f1: BernoulliFunction, g2: BernoulliFunction, p: int, seed: int, threads: int = 1) -> DominatedCertificate:

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import ctypes
 import json
 import re
 import subprocess
 import sys
+import types
 import warnings
 
 import jsonschema
@@ -563,6 +565,36 @@ def test_numerical_breakdown_exit1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "numerical breakdown" in err
+
+
+@pytest.mark.parametrize("fault, message", [("info", "dpotri info=1"), ("diagonal", "denominator is not positive")], ids=["dpotri-info", "negative-diagonal"])
+def test_inverse_breakdown_exit1(capsys, monkeypatch, fault, message):
+    # dpotri reports a failure, or returns an inverse whose diagonal makes a flip denominator
+    # negative: a numerical breakdown exits 1 with nothing on stdout, never 2
+    real = functions._openblas
+    if real is None:
+        pytest.skip("this numpy does not export the bundled dpotrf and dpotri")
+
+    def dpotri(uplo, order, address, lda, info, length):
+        if fault == "info":
+            info.value = 1
+            return
+        real.scipy_dpotri_64_(uplo, order, address, lda, info, length)
+        n = order.value
+        inverse = (ctypes.c_double * (n * n)).from_address(address)
+        for i in range(n):
+            inverse[i * (n + 1)] = -10.0
+
+    binding = types.SimpleNamespace(
+        scipy_dpotrf_64_=real.scipy_dpotrf_64_,
+        scipy_dpotri_64_=dpotri,
+        scipy_openblas_set_num_threads64_=real.scipy_openblas_set_num_threads64_,
+    )
+    monkeypatch.setattr(functions, "_openblas", binding)
+    code, out, err = run_cli(capsys, ["certify", "--graph", "torus:3", "--lambda", "1", "--gamma", "1", "--p", "5", "--seed", "7"])
+    assert code == 1
+    assert out == ""
+    assert message in err.splitlines()[-1]
 
 
 def test_oracle_spectral(capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import threading
@@ -175,6 +176,10 @@ def test_choose_p_frozen_values():
     assert choose_p(1.0, 1.0, 0.01) == 1001
     assert choose_p(1.0, 1.0, 1 / 3) == 31
     assert choose_p(2.0, 1.0, 1.0) == 21
+    # the rule: the least p whose a-priori 90% Markov width 10c/(2p), c = 2*lam/gamma^2, is below delta
+    for lam, gamma, delta in ((1.0, 1.0, 0.01), (1.0, 1.0, 1 / 3), (2.0, 1.0, 1.0)):
+        c, p = 2.0 * lam / gamma**2, choose_p(lam, gamma, delta)
+        assert markov_apriori(c, p) < delta <= markov_apriori(c, p - 1)
     # gamma^2 overflows, gamma^2 * delta does not: 10*lam/(gamma^2*delta) = 2.5
     assert choose_p(1.0, 2e154, 1e-308) == 3
 
@@ -297,18 +302,27 @@ def test_certificate_serialization(torus3_params):
 
 
 def test_certificate_rejects_empty_interval():
+    # an empty interval is certify's FactorizationError (test_numerical_breakdown_exit1); the record checks p alone
     counters = EvalCounters(1, 1)
-    for lower, p, fragment in ((1.0, 1, "interval"), (0.0, 0, "p must be positive")):
-        with pytest.raises(ValueError, match=fragment):
-            Certificate(
-                f_bar=0.0, g_bar=0.0, lower=lower, upper=0.0, p=p, seed=0,
-                g_at_ones=0.0, expected_width=0.0, markov_90_width=0.0,
-                realized_within_markov=True, c_bound=None, c_markov_width=None,
-                counters=counters,
-            )
+    with pytest.raises(ValueError, match="p must be positive"):
+        Certificate(f_bar=0.0, g_bar=0.0, p=0, seed=0, g_at_ones=0.0, c_bound=None, counters=counters)
     for radius, p, fragment in ((-1e-300, 1, "radius must be nonnegative"), (0.0, 0, "p must be positive")):
         with pytest.raises(ValueError, match=fragment):
             DominatedCertificate(center=0j, radius=radius, p=p, seed=0, counters=counters)
+
+
+def test_certificate_derives_bounds_and_widths():
+    # the record stores the sweep's measurements; every bound and width is a property of them
+    assert [field.name for field in dataclasses.fields(Certificate)] == ["f_bar", "g_bar", "p", "seed", "g_at_ones", "c_bound", "counters"]
+    cert = Certificate(f_bar=0.5, g_bar=0.25, p=4, seed=0, g_at_ones=0.5, c_bound=2.0, counters=EvalCounters(7, 7))
+    assert (cert.lower, cert.upper) == (0.5 - 0.25 - NUMERICAL_SLACK, 0.5 + NUMERICAL_SLACK)
+    assert cert.width == cert.upper - cert.lower
+    assert (cert.markov_90_width, cert.expected_width) == (1.25, 0.125)
+    assert cert.realized_within_markov is True
+    assert cert.c_markov_width == markov_apriori(2.0, 4)
+    wide = dataclasses.replace(cert, g_bar=2.0, c_bound=None)
+    assert wide.realized_within_markov is False
+    assert wide.c_markov_width is None
 
 
 def test_dominated_certificate(torus3, torus3_params):

@@ -572,6 +572,15 @@ def test_f_only_equals_f_of_pair_path(monkeypatch, n, fallback):
     assert [fn.evaluate(eps) for eps in table] == fn.evaluate_block(table).tolist()
 
 
+def test_binding_absent_when_library_will_not_load(monkeypatch):
+    # a numpy whose _umath_linalg ctypes cannot open takes the stacked numpy kernel
+    def refuse(*args, **kwargs):
+        raise OSError("cannot open shared object file")
+
+    monkeypatch.setattr(functions.ctypes, "CDLL", refuse)
+    assert functions._load_openblas() is None
+
+
 def test_import_loads_no_scipy():
     code = "import sys, paircert; assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)"
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, check=False)
