@@ -19,10 +19,13 @@ function g2 with nonnegative coefficients dominates it coefficientwise,
 |F_1 - E[f_1]| <= G_2 realizationwise: a disk certificate. F_1 and G_2
 average over the same pairs, so one sweep evaluates f1 and g2 on each block.
 
-Pairs are evaluated in chunks of block_rows(n), and a value's bits do not
-depend on its chunk. All pair sums are reduced with math.fsum, which returns
-the exactly rounded sum, so certificates are byte-stable under any
-evaluation order, thread count, or chunking.
+F and G depend on the pair products only as a multiset, and when
+p(p-1)/2 exceeds 2^n it repeats rows. Each distinct pair product is
+evaluated once, in chunks of block_rows(n), and its value is weighted by
+how often it occurs. A value's bits do not depend on its chunk, and all pair
+sums are reduced with math.fsum, which returns the exactly rounded sum, so
+the weighted sums are those over every pair bit for bit, and certificates
+are byte-stable under any evaluation order, thread count, or chunking.
 
 A small additive slack (NUMERICAL_SLACK) widens every reported interval
 to absorb floating-point error in the evaluations themselves; the
@@ -46,10 +49,12 @@ NUMERICAL_SLACK = 1e-8
 
 @dataclass(frozen=True)
 class EvalCounters:
-    """Cost accounting: evaluations, one per row of the pair sweep, and
-    factorizations, one per row per function swept. Both follow from the
-    inputs, so equal runs give equal counters. Wall time is the caller's to
-    take; the JSON keeps `wall_ms` as null, as schema 1 requires."""
+    """Cost accounting: evaluations, the p(p-1)/2 + 1 rows the certificate
+    averages (the pairs and all-ones), and factorizations, one per function
+    swept for each row evaluated: all-ones and each distinct pair product.
+    Both follow from the inputs, so equal runs give equal counters. Wall time
+    is the caller's to take; the JSON keeps `wall_ms` as null, as schema 1
+    requires."""
 
     evaluations: int
     factorizations: int
@@ -162,45 +167,85 @@ def _exact_sum(values):
     return math.fsum(values)
 
 
+# pair-product keys held between merges into the distinct set: the key memory stays within
+# the distinct pair products plus this buffer at any p
+KEY_BUFFER = 1 << 16
+
+
+def _pair_multiset(signs: np.ndarray):
+    """The multiset of pair products X_i o X_j, i < j, of a (p, n) sign table:
+    its distinct rows as keys, and how often each occurs. A key is a row's -1
+    entries packed to bits (np.packbits) in uint64 words; the key of X_i o X_j
+    is the XOR of the keys of X_i and X_j. The keys are formed row by row of
+    the pair triangle and merged into the distinct keys once KEY_BUFFER of
+    them are pending, so at most min(p(p-1)/2, 2^n) distinct keys and one
+    buffer are held at once.
+    """
+    p, n = signs.shape
+    words = -(-n // 64)
+    negative = np.zeros((p, 64 * words), dtype=bool)
+    negative[:, :n] = signs < 0
+    rows = np.packbits(negative, axis=1).view(np.uint64)
+    keys, counts = rows[:0], np.empty(0, dtype=np.int64)
+    pending, held = [], 0
+    for i in range(p - 1):
+        pending.append(rows[i] ^ rows[i + 1:])
+        held += p - 1 - i
+        if held >= KEY_BUFFER or i == p - 2:
+            keys, counts = np.concatenate([keys] + pending), np.concatenate([counts, np.ones(held, dtype=np.int64)])
+            order = np.lexsort(keys.T)  # equal keys become adjacent
+            keys, counts = keys[order], counts[order]
+            starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+            keys, counts = keys[starts], np.add.reduceat(counts, starts)
+            pending, held = [], 0
+    return keys, counts
+
+
 def _pair_sweep(evaluate_block, signs: np.ndarray, threads: int):
     """Per-component pair-product averages of evaluate_block(table) -> tuple
-    of arrays over the rows of a (p, n) sign table, from p(p-1)/2 + 1
-    evaluations, and the values at all-ones.
+    of arrays over the rows of a (p, n) sign table, and the values at all-ones.
 
-    The rows i of the pair triangle are split into `threads` interleaved
-    blocks. The calling thread sweeps block 0 and the pool the others, so a
-    sweep submits at most threads - 1 tasks, and none at threads=1. Each
-    block evaluates the products of its rows in chunks of block_rows(n).
+    The p(p-1)/2 pair products are a multiset (_pair_multiset). Each distinct
+    product is evaluated once, in chunks of block_rows(n) rows unpacked from
+    its keys, and its values are weighted by its count. Chunk k goes to
+    thread k mod threads: the calling thread sweeps its own share and the
+    pool the others, so a sweep submits at most threads - 1 tasks, and none
+    at threads=1.
     """
     p, n = signs.shape
     size = block_rows(n)
     ones = tuple(v[0].item() for v in evaluate_block(all_ones(n)[None]))
+    keys, counts = _pair_multiset(signs)
+    chunks = -(-len(keys) // size)
 
     def sweep(first):
-        # rows first, first + threads, ...: about p^2/(2*threads) pairs; only rows 0..p-2 hold pairs
-        values, pending = [], signs[:0]
-        for i in range(first, p - 1, threads):
-            pending = np.concatenate([pending, signs[i] * signs[i + 1:]])
-            while len(pending) >= size:
-                values.append(evaluate_block(pending[:size]))
-                pending = pending[size:]
-        return values + [evaluate_block(pending)] if len(pending) else values
+        # chunks first, first + threads, ...; a key unpacks to the int8 signs of its pair product
+        return [evaluate_block(1 - 2 * np.unpackbits(keys[k * size:(k + 1) * size].view(np.uint8), axis=1, count=n).view(np.int8)) for k in range(first, chunks, threads)]
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        others = [pool.submit(sweep, k) for k in range(1, min(threads, p - 1))]
-        values = sweep(0) + [v for job in others for v in job.result()]
+        others = [pool.submit(sweep, t) for t in range(1, min(threads, chunks))]
+        swept = [sweep(0)] + [job.result() for job in others]
+    values = [swept[k % threads][k // threads] for k in range(chunks)]
     square = float(p) * float(p)
-    averages = tuple((p * one + 2.0 * _exact_sum(np.concatenate([np.empty(0)] + [v[k] for v in values]))) / square for k, one in enumerate(ones))
+    averages = tuple((p * one + 2.0 * _exact_sum(np.repeat(np.concatenate([np.empty(0)] + [v[c] for v in values]), counts))) / square for c, one in enumerate(ones))
     return averages, ones
 
 
 def _run(evaluate_block, n: int, swept: int, p: int, seed: int, threads: int):
     """Sample p sign vectors of length n from seed and sweep their pairs once
     with evaluate_block, which takes `swept` functions on each row. Returns
-    the sweep's averages, its values at all-ones and its counters."""
-    averages, ones = _pair_sweep(evaluate_block, sample(p, n, seed), threads)
-    evaluations = p * (p - 1) // 2 + 1
-    return averages, ones, EvalCounters(evaluations=evaluations, factorizations=evaluations * swept)
+    the sweep's averages, its values at all-ones and its counters: the
+    p(p-1)/2 + 1 evaluations the certificate averages, and one factorization
+    per function swept for each row the sweep hands evaluate_block, that is
+    (1 + distinct pair products) * swept."""
+    rows = []
+
+    def counted(table):
+        rows.append(len(table))  # one append per call, from any thread of the sweep
+        return evaluate_block(table)
+
+    averages, ones = _pair_sweep(counted, sample(p, n, seed), threads)
+    return averages, ones, EvalCounters(evaluations=p * (p - 1) // 2 + 1, factorizations=sum(rows) * swept)
 
 
 def markov_apriori(c: float, p: int) -> float:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 import math
@@ -105,6 +106,76 @@ def test_pair_sweep_matches_pair_product_loop(torus3_params):
         assert estimator._pair_sweep(fn.evaluate_block_with_g, s, threads) == (expected, ones)
 
 
+def _distinct_pair_products(s):
+    return {(s[i] * s[j]).tobytes() for i in range(len(s)) for j in range(i + 1, len(s))}
+
+
+def _swept_functions(dominated, torus3, torus3_params):
+    """(evaluate_block, evaluate) for the interval's resolvent or the disc's f1 and g2."""
+    if not dominated:
+        fn = ResolventTraceFunction(torus3_params)
+        return fn.evaluate_block_with_g, fn.evaluate_with_g
+    f1, f2 = dominating_resolvent_scale(AnalyticFunction.polynomial([0.0, 0.0, 1.0]), torus3_params, torus3)
+    g2 = GFunction(f2)
+    return (lambda table: (f1.evaluate_block(table), g2.evaluate_block(table))), (lambda eps: (f1.evaluate(eps), g2.evaluate(eps)))
+
+
+@pytest.mark.parametrize("dominated", [False, True], ids=["interval", "disc"])
+def test_pair_sweep_matches_pair_product_loop_where_products_repeat(dominated, torus3, torus3_params):
+    # 19,900 pairs at n = 9 hold 512 distinct products: each pair counts as often as it occurs
+    evaluate_block, evaluate = _swept_functions(dominated, torus3, torus3_params)
+    s = sample(200, 9, 4)
+    p = len(s)
+    assert len(_distinct_pair_products(s)) == 512
+    ones = evaluate(all_ones(9))
+    pairs = [evaluate(pair_product(s, i, j)) for i in range(p) for j in range(i + 1, p)]
+    expected = tuple((p * one + 2.0 * math.fsum(v[k] for v in pairs)) / (p * p) for k, one in enumerate(ones))
+    for threads in (1, 3):  # block_rows(9) = 404: at threads=3 the two chunks go to two threads
+        assert estimator._pair_sweep(evaluate_block, s, threads) == (expected, ones)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_pair_sweep_evaluates_each_distinct_pair_product_once(torus3_params, threads):
+    seen = []
+    fn = ResolventTraceFunction(torus3_params)
+
+    def recording(table):
+        seen.extend(row.tobytes() for row in table)
+        return fn.evaluate_block_with_g(table)
+
+    s = sample(200, 9, 4)
+    estimator._pair_sweep(recording, s, threads)
+    assert seen[0] == all_ones(9).tobytes()
+    assert sorted(seen[1:]) == sorted(_distinct_pair_products(s))
+
+
+@pytest.mark.parametrize("buffer", [1, 7, estimator.KEY_BUFFER])
+def test_pair_multiset_counts_every_pair(monkeypatch, buffer):
+    # however often pending keys merge into the distinct ones, no pair is lost or counted twice;
+    # n = 70 takes two words a key, and the repeated rows make its products repeat
+    monkeypatch.setattr(estimator, "KEY_BUFFER", buffer)
+    tables = [sample(200, 9, 4), sample(40, 16, 1), np.concatenate([sample(6, 70, 3)] * 3), sample(2, 1, 0), sample(1, 5, 0)]
+    for s in tables:
+        p, n = s.shape
+        keys, counts = estimator._pair_multiset(s)
+        rows = 1 - 2 * np.unpackbits(keys.view(np.uint8), axis=1, count=n).view(np.int8)
+        expected = collections.Counter((s[i] * s[j]).tobytes() for i in range(p) for j in range(i + 1, p))
+        assert len(keys) == len(expected)
+        assert {row.tobytes(): int(count) for row, count in zip(rows, counts)} == expected
+
+
+def test_factorizations_count_distinct_pair_products(torus3, torus3_params):
+    # evaluations count every pair; factorizations count all-ones and each distinct product, per function swept
+    f1, f2 = dominating_resolvent_scale(AnalyticFunction.polynomial([0.0, 0.0, 1.0]), torus3_params, torus3)
+    for p, seed in ((200, 4), (12, 3), (2, 0), (1, 0)):
+        distinct = len(_distinct_pair_products(sample(p, 9, seed)))
+        evaluations = p * (p - 1) // 2 + 1
+        cert = certify(ResolventTraceFunction(torus3_params), p, seed, threads=2)
+        assert cert.counters == EvalCounters(evaluations=evaluations, factorizations=1 + distinct)
+        disc = certify_dominated(f1, GFunction(f2), p, seed, threads=2)
+        assert disc.counters == EvalCounters(evaluations=evaluations, factorizations=2 * (1 + distinct))
+
+
 def test_thread_count_invariance(torus3, torus3_params):
     fn = ResolventTraceFunction(torus3_params)
     certs = [certify(fn, 9, 8, threads=t) for t in (1, 2, 5, 16)]
@@ -139,8 +210,10 @@ def test_pair_sweep_submits_one_task_per_extra_block(monkeypatch, torus3_params)
     submitted.clear()
     estimator._pair_sweep(RecordingResolvent(torus3_params).evaluate_block_with_g, s, 1)
     assert submitted == []
-    # all-ones, then the 36 pairs in one chunk: block_rows(9) holds them all
-    assert callers == [(threading.get_ident(), 1), (threading.get_ident(), 9 * 8 // 2)]
+    # all-ones, then the 29 distinct of the 36 pair products in one chunk: block_rows(9) holds them all
+    distinct = len({(s[i] * s[j]).tobytes() for i in range(9) for j in range(i + 1, 9)})
+    assert distinct == 29
+    assert callers == [(threading.get_ident(), 1), (threading.get_ident(), distinct)]
 
 
 def test_sandwich_small_sweep(torus3_params, torus3_exact):
@@ -412,8 +485,8 @@ def test_dominated_is_one_sweep(monkeypatch, torus3, torus3_params):
             mine = [(name, table) for name, t, table in calls if t == thread]
             assert [name for name, _ in mine] == ["f1", "g2"] * (len(mine) // 2)
             assert [table for name, table in mine if name == "f1"] == [table for name, table in mine if name == "g2"]
-        if threads == 1:  # all-ones, then the 66 pairs in nine blocks of 7 and one of 3
-            assert len(calls) == 2 * 11
+        if threads == 1:  # all-ones, then the 60 distinct of the 66 pair products in eight blocks of 7 and one of 4
+            assert len(calls) == 2 * 10
         assert cert.to_json_dict() == reference.to_json_dict()
 
 
