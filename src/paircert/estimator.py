@@ -22,10 +22,13 @@ average over the same pairs, so one sweep evaluates f1 and g2 on each block.
 F and G depend on the pair products only as a multiset, and when
 p(p-1)/2 exceeds 2^n it repeats rows. Each distinct pair product is
 evaluated once, in chunks of block_rows(n), and its value is weighted by
-how often it occurs. A value's bits do not depend on its chunk, and all pair
-sums are reduced with math.fsum, which returns the exactly rounded sum, so
-the weighted sums are those over every pair bit for bit, and certificates
-are byte-stable under any evaluation order, thread count, or chunking.
+how often it occurs. A value's bits do not depend on its chunk. Each count
+is split into its binary digits, and math.fsum sums the terms v * 2^k, one
+per set digit k: scaling by a power of two is exact, so these terms have the
+exact sum of every pair's value, and fsum returns that sum exactly rounded.
+The weighted sums are therefore those over every pair bit for bit, and
+certificates are byte-stable under any evaluation order, thread count, or
+chunking.
 
 A small additive slack (NUMERICAL_SLACK) widens every reported interval
 to absorb floating-point error in the evaluations themselves; the
@@ -167,6 +170,24 @@ def _exact_sum(values):
     return math.fsum(values)
 
 
+def _weighted_sum(values: np.ndarray, counts: np.ndarray):
+    """_exact_sum of counts[i] copies of values[i], from one term values[i] * 2^k
+    for each binary digit k set in counts[i]: O(len(values) * log(max count))
+    terms, whose exact sum is that of the copies. A complex value's parts are
+    scaled apart, since a complex-by-real product can flip the sign of a zero
+    part. A term that overflows raises OverflowError, as fsum does when a
+    running sum overflows; with values of one sign both raise exactly when the
+    weighted sum leaves the float range."""
+    if np.iscomplexobj(values):
+        return complex(_weighted_sum(values.real, counts), _weighted_sum(values.imag, counts))
+    index, digit = np.nonzero(counts[:, None] >> np.arange(int(counts.max(initial=0)).bit_length()) & 1)
+    with np.errstate(over="ignore"):
+        terms = np.ldexp(values[index], digit)
+    if (np.isinf(terms) > np.isinf(values[index])).any():
+        raise OverflowError("intermediate overflow in fsum")
+    return math.fsum(terms)
+
+
 # pair-product keys held between merges into the distinct set: the key memory stays within
 # the distinct pair products plus this buffer at any p
 KEY_BUFFER = 1 << 16
@@ -179,7 +200,11 @@ def _pair_multiset(signs: np.ndarray):
     is the XOR of the keys of X_i and X_j. The keys are formed row by row of
     the pair triangle and merged into the distinct keys once KEY_BUFFER of
     them are pending, so at most min(p(p-1)/2, 2^n) distinct keys and one
-    buffer are held at once.
+    buffer are held at once. When n <= 64 a key is one word, and a direct sort
+    (np.unique) reduces the buffer to its distinct keys with counts before the
+    merge; only the union of two distinct sets is then sorted indirectly
+    (np.lexsort). Wider keys rarely repeat and go to the merge as they are.
+    Either way the keys come out distinct and in ascending lexsort order.
     """
     p, n = signs.shape
     words = -(-n // 64)
@@ -192,7 +217,13 @@ def _pair_multiset(signs: np.ndarray):
         pending.append(rows[i] ^ rows[i + 1:])
         held += p - 1 - i
         if held >= KEY_BUFFER or i == p - 2:
-            keys, counts = np.concatenate([keys] + pending), np.concatenate([counts, np.ones(held, dtype=np.int64)])
+            fresh = np.concatenate(pending)
+            if words == 1:
+                fresh, fresh_counts = np.unique(fresh, return_counts=True)
+                fresh = fresh[:, None]
+            else:
+                fresh_counts = np.ones(held, dtype=np.int64)
+            keys, counts = np.concatenate([keys, fresh]), np.concatenate([counts, fresh_counts])
             order = np.lexsort(keys.T)  # equal keys become adjacent
             keys, counts = keys[order], counts[order]
             starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
@@ -207,7 +238,8 @@ def _pair_sweep(evaluate_block, signs: np.ndarray, threads: int):
 
     The p(p-1)/2 pair products are a multiset (_pair_multiset). Each distinct
     product is evaluated once, in chunks of block_rows(n) rows unpacked from
-    its keys, and its values are weighted by its count. Chunk k goes to
+    its keys, and its values are weighted by its count (_weighted_sum), so
+    each average is bit for bit the one over every pair. Chunk k goes to
     thread k mod threads: the calling thread sweeps its own share and the
     pool the others, so a sweep submits at most threads - 1 tasks, and none
     at threads=1.
@@ -227,7 +259,7 @@ def _pair_sweep(evaluate_block, signs: np.ndarray, threads: int):
         swept = [sweep(0)] + [job.result() for job in others]
     values = [swept[k % threads][k // threads] for k in range(chunks)]
     square = float(p) * float(p)
-    averages = tuple((p * one + 2.0 * _exact_sum(np.repeat(np.concatenate([np.empty(0)] + [v[c] for v in values]), counts))) / square for c, one in enumerate(ones))
+    averages = tuple((p * one + 2.0 * _weighted_sum(np.concatenate([np.empty(0)] + [v[c] for v in values]), counts)) / square for c, one in enumerate(ones))
     return averages, ones
 
 

@@ -4,13 +4,17 @@ import collections
 import dataclasses
 import json
 import math
+import sys
 import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from paircert import estimator
 from paircert.estimator import (
@@ -155,6 +159,9 @@ def test_pair_multiset_counts_every_pair(monkeypatch, buffer):
     # n = 70 takes two words a key, and the repeated rows make its products repeat
     monkeypatch.setattr(estimator, "KEY_BUFFER", buffer)
     tables = [sample(200, 9, 4), sample(40, 16, 1), np.concatenate([sample(6, 70, 3)] * 3), sample(2, 1, 0), sample(1, 5, 0)]
+    # the key-width boundary: n = 64 fills one word (its direct sort), n = 65 puts one bit in a second word (lexsort)
+    tables += [np.concatenate([sample(6, n, 3)] * 3) for n in (64, 65)]
+    assert all(len(set(s[:, -1])) == 2 for s in tables[-2:])  # the last bit differs between pairs
     for s in tables:
         p, n = s.shape
         keys, counts = estimator._pair_multiset(s)
@@ -162,6 +169,57 @@ def test_pair_multiset_counts_every_pair(monkeypatch, buffer):
         expected = collections.Counter((s[i] * s[j]).tobytes() for i in range(p) for j in range(i + 1, p))
         assert len(keys) == len(expected)
         assert {row.tobytes(): int(count) for row, count in zip(rows, counts)} == expected
+        # ascending, as the sweep's chunks and their dealing to threads assume
+        assert (np.lexsort(keys.T) == np.arange(len(keys))).all()
+
+
+def _sum_of_copies(values, counts):
+    """_exact_sum(np.repeat(values, counts)), without the copies once they are many: fsum
+    then returns the exact weighted sum rounded once, and an exact zero is +0.0 unless every
+    value is a zero, whose signs alone then decide it."""
+    if counts.sum() <= 1 << 12:
+        return estimator._exact_sum(np.repeat(values, counts))
+    if np.iscomplexobj(values):
+        return complex(_sum_of_copies(values.real, counts), _sum_of_copies(values.imag, counts))
+    exact = sum(Fraction(v) * c for v, c in zip(values.tolist(), counts.tolist()))
+    return float(exact) if exact or values.any() else math.fsum(values)
+
+
+def _bits(x):
+    return (x.real.hex(), x.imag.hex()) if isinstance(x, complex) else x.hex()
+
+
+# mixed signs with exponents up to +300, and down to -300 with subnormals and signed zeros
+_PART = st.one_of(st.floats(-1e300, 1e300), st.floats(-1e-300, 1e-300), st.sampled_from([0.0, -0.0, 5e-324, -5e-324]))
+
+
+@given(
+    parts=st.lists(st.tuples(_PART, _PART, st.one_of(st.just(1), st.integers(1, 1 << 40))), min_size=1, max_size=12),
+    is_complex=st.booleans(),
+    all_ones=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_weighted_sum_matches_exact_sum_of_repeated_values(parts, is_complex, all_ones):
+    real, imag, counts = (np.array(column) for column in zip(*parts))
+    counts = np.ones_like(counts) if all_ones else counts
+    values = real
+    if is_complex:  # set the parts apart: a complex product could flip a zero's sign
+        values = np.empty(len(real), dtype=complex)
+        values.real, values.imag = real, imag
+    # no running sum of either part can overflow, in any order
+    for part in (values.real, values.imag):
+        assume(sum(abs(Fraction(v)) * c for v, c in zip(part.tolist(), counts.tolist())) < Fraction(sys.float_info.max))
+    assert _bits(estimator._weighted_sum(values, counts)) == _bits(_sum_of_copies(values, counts))
+
+
+@pytest.mark.parametrize("values, counts", [([1e308], [2]), ([-9e307], [1 << 20]), ([1e308, 1e308], [1, 1]), ([-1.5e308, -1e308], [1, 3])])
+def test_weighted_sum_overflows_where_the_sum_of_copies_does(values, counts):
+    # values of one sign: a running sum overflows, in any order, exactly when the weighted sum does
+    values, counts = np.array(values), np.array(counts)
+    with pytest.raises(OverflowError):
+        estimator._exact_sum(np.repeat(values, counts))
+    with pytest.raises(OverflowError):
+        estimator._weighted_sum(values, counts)
 
 
 def test_factorizations_count_distinct_pair_products(torus3, torus3_params):
