@@ -119,8 +119,8 @@ def _certify_resolvent(args: argparse.Namespace, params: ResolventParams):
         if p * fn.n > MAX_SIGNS:  # before the preview, whose figures would run to hundreds of digits
             raise ValueError(f"--delta {args.delta} picks p={float(p):.3g}, whose p*n signs exceed the {MAX_SIGNS} size budget")
         evaluations = p * (p - 1) // 2 + 1
-        # the sweep factors all-ones and each distinct pair product once, and there are at most 2^n of those
-        factored = min(evaluations - 1, 2**fn.n) + 1
+        # the sweep factors each distinct key once: all-ones and the distinct pair products, at most 2^n in all
+        factored = min(evaluations, 2**fn.n)
         # fastest of three calls on a block as the sweep forms them: a cold call or a lone row overstates the run
         table = all_ones(fn.n)[None].repeat(min(block_rows(fn.n), factored), axis=0)
         per_eval = min(timeit.repeat(lambda: fn.evaluate_block_with_g(table), number=1, repeat=3)) / len(table)

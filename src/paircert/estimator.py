@@ -20,15 +20,16 @@ function g2 with nonnegative coefficients dominates it coefficientwise,
 average over the same pairs, so one sweep evaluates f1 and g2 on each block.
 
 F and G depend on the pair products only as a multiset, and when
-p(p-1)/2 exceeds 2^n it repeats rows. Each distinct pair product is
-evaluated once, in chunks of block_rows(n), and its value is weighted by
-how often it occurs. A value's bits do not depend on its chunk. Each count
-is split into its binary digits, and math.fsum sums the terms v * 2^k, one
-per set digit k: scaling by a power of two is exact, so these terms have the
-exact sum of every pair's value, and fsum returns that sum exactly rounded.
-The weighted sums are therefore those over every pair bit for bit, and
-certificates are byte-stable under any evaluation order, thread count, or
-chunking.
+p(p-1)/2 exceeds 2^n it repeats rows. Keyed by its -1 entries, all-ones
+is key 0; it and each distinct pair product are evaluated once, in chunks
+of block_rows(n), by the evaluator that also enumerates the oracle's 2^n
+keys, and each value is weighted by its count. A value's bits do not
+depend on its chunk. Each count is split into its binary digits, and
+math.fsum sums the terms v * 2^k, one per set digit k: scaling by a power
+of two is exact, so these terms have the exact sum of every pair's value,
+and fsum returns that sum exactly rounded. The weighted sums are therefore
+those over every pair bit for bit, and certificates are byte-stable under
+any evaluation order, thread count, or chunking.
 
 A small additive slack (NUMERICAL_SLACK) widens every reported interval
 to absorb floating-point error in the evaluations themselves; the
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import BernoulliFunction, FactorizationError, block_rows
-from .sampling import all_ones, sample
+from .sampling import sample
 
 SCHEMA_VERSION = 1
 NUMERICAL_SLACK = 1e-8
@@ -54,7 +55,8 @@ NUMERICAL_SLACK = 1e-8
 class EvalCounters:
     """Cost accounting: evaluations, the p(p-1)/2 + 1 rows the certificate
     averages (the pairs and all-ones), and factorizations, one per function
-    swept for each row evaluated: all-ones and each distinct pair product.
+    swept for each distinct key evaluated: all-ones and the distinct pair
+    products, all-ones once even where it is also a pair product.
     Both follow from the inputs, so equal runs give equal counters. Wall time
     is the caller's to take; the JSON keeps `wall_ms` as null, as schema 1
     requires."""
@@ -189,29 +191,30 @@ def _weighted_sum(values: np.ndarray, counts: np.ndarray):
 
 
 # pair-product keys held between merges into the distinct set: the key memory stays within
-# the distinct pair products plus this buffer at any p
+# the distinct pair products, +1 for key 0, plus this buffer at any p
 KEY_BUFFER = 1 << 16
 
 
 def _pair_multiset(signs: np.ndarray):
     """The multiset of pair products X_i o X_j, i < j, of a (p, n) sign table:
     its distinct rows as keys, and how often each occurs. A key is a row's -1
-    entries packed to bits (np.packbits) in uint64 words; the key of X_i o X_j
-    is the XOR of the keys of X_i and X_j. The keys are formed row by row of
-    the pair triangle and merged into the distinct keys once KEY_BUFFER of
-    them are pending, so at most min(p(p-1)/2, 2^n) distinct keys and one
-    buffer are held at once. When n <= 64 a key is one word, and a direct sort
-    (np.unique) reduces the buffer to its distinct keys with counts before the
-    merge; only the union of two distinct sets is then sorted indirectly
-    (np.lexsort). Wider keys rarely repeat and go to the merge as they are.
-    Either way the keys come out distinct and in ascending lexsort order.
+    entries packed to bits in little-endian uint64 words, bit k for coordinate
+    k, so a one-word key is the oracle's mask and all-ones is key 0, which the
+    distinct set starts with at count 0. The key of X_i o X_j is the XOR of
+    the keys of X_i and X_j. The keys are formed row by row of the pair
+    triangle and merged into the distinct keys once KEY_BUFFER of them are
+    pending. When n <= 64 a key is one word, and a direct sort (np.unique)
+    reduces the buffer to its distinct keys with counts before the merge; only
+    the union of two distinct sets is then sorted indirectly (np.lexsort).
+    Wider keys rarely repeat and go to the merge as they are. Either way the
+    keys come out distinct and in ascending lexsort order, key 0 first.
     """
     p, n = signs.shape
     words = -(-n // 64)
     negative = np.zeros((p, 64 * words), dtype=bool)
     negative[:, :n] = signs < 0
-    rows = np.packbits(negative, axis=1).view(np.uint64)
-    keys, counts = rows[:0], np.empty(0, dtype=np.int64)
+    rows = np.packbits(negative, axis=1, bitorder="little").view("<u8")
+    keys, counts = np.zeros((1, words), dtype=rows.dtype), np.zeros(1, dtype=np.int64)
     pending, held = [], 0
     for i in range(p - 1):
         pending.append(rows[i] ^ rows[i + 1:])
@@ -232,34 +235,39 @@ def _pair_multiset(signs: np.ndarray):
     return keys, counts
 
 
-def _pair_sweep(evaluate_block, signs: np.ndarray, threads: int):
-    """Per-component pair-product averages of evaluate_block(table) -> tuple
-    of arrays over the rows of a (p, n) sign table, and the values at all-ones.
-
-    The p(p-1)/2 pair products are a multiset (_pair_multiset). Each distinct
-    product is evaluated once, in chunks of block_rows(n) rows unpacked from
-    its keys, and its values are weighted by its count (_weighted_sum), so
-    each average is bit for bit the one over every pair. Chunk k goes to
-    thread k mod threads: the calling thread sweeps its own share and the
-    pool the others, so a sweep submits at most threads - 1 tasks, and none
-    at threads=1.
+def _evaluate_keys(evaluate_block, keys: np.ndarray, n: int, threads: int):
+    """Per-component arrays, in key order, of evaluate_block(table) -> tuple of
+    arrays over the sign vectors of (k, words) keys packed as by _pair_multiset.
+    Chunk k of block_rows(n) keys, unpacked to int8 signs, goes to thread
+    k mod threads: the calling thread sweeps its own share and the pool the
+    others, so a call submits at most threads - 1 tasks, and none at threads=1.
     """
-    p, n = signs.shape
     size = block_rows(n)
-    ones = tuple(v[0].item() for v in evaluate_block(all_ones(n)[None]))
-    keys, counts = _pair_multiset(signs)
     chunks = -(-len(keys) // size)
 
     def sweep(first):
-        # chunks first, first + threads, ...; a key unpacks to the int8 signs of its pair product
-        return [evaluate_block(1 - 2 * np.unpackbits(keys[k * size:(k + 1) * size].view(np.uint8), axis=1, count=n).view(np.int8)) for k in range(first, chunks, threads)]
+        return [evaluate_block(1 - 2 * np.unpackbits(keys[k * size:(k + 1) * size].view(np.uint8), axis=1, count=n, bitorder="little").view(np.int8)) for k in range(first, chunks, threads)]
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         others = [pool.submit(sweep, t) for t in range(1, min(threads, chunks))]
         swept = [sweep(0)] + [job.result() for job in others]
-    values = [swept[k % threads][k // threads] for k in range(chunks)]
+    return tuple(np.concatenate(parts) for parts in zip(*(swept[k % threads][k // threads] for k in range(chunks))))
+
+
+def _pair_sweep(evaluate_block, signs: np.ndarray, threads: int):
+    """Per-component pair-product averages of evaluate_block(table) -> tuple
+    of arrays over the rows of a (p, n) sign table, and the values at all-ones.
+
+    Each key of _pair_multiset, all-ones first, is evaluated once
+    (_evaluate_keys) and weighted by its count (_weighted_sum), so each
+    average is bit for bit the one over every pair.
+    """
+    p, n = signs.shape
+    keys, counts = _pair_multiset(signs)
+    values = _evaluate_keys(evaluate_block, keys, n, threads)
+    ones = tuple(v[0].item() for v in values)
     square = float(p) * float(p)
-    averages = tuple((p * one + 2.0 * _weighted_sum(np.concatenate([np.empty(0)] + [v[c] for v in values]), counts)) / square for c, one in enumerate(ones))
+    averages = tuple((p * one + 2.0 * _weighted_sum(v, counts)) / square for v, one in zip(values, ones))
     return averages, ones
 
 
@@ -269,7 +277,7 @@ def _run(evaluate_block, n: int, swept: int, p: int, seed: int, threads: int):
     the sweep's averages, its values at all-ones and its counters: the
     p(p-1)/2 + 1 evaluations the certificate averages, and one factorization
     per function swept for each row the sweep hands evaluate_block, that is
-    (1 + distinct pair products) * swept."""
+    (distinct keys, all-ones included) * swept."""
     rows = []
 
     def counted(table):

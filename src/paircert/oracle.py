@@ -4,7 +4,8 @@ Walsh spectra by full enumeration over {-1,+1}^n.
 Conventions, fixed so every transform is reproducible:
   * subset <-> bitmask: bit k of mask S set  <=>  coordinate k+1 in S;
   * enumeration order: sign vector number `mask` has eps_{k+1} = -1
-    exactly when bit k of `mask` is set (so vector 0 is all ones).
+    exactly when bit k of `mask` is set (so vector 0 is all ones). A mask
+    is the pair sweep's one-word key, evaluated by estimator._evaluate_keys.
 
 With values listed in that order, one unnormalized Walsh-Hadamard
 transform maps coefficients to values, and the same transform divided
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import _exact_sum
-from .functions import BernoulliFunction, block_rows
+from .estimator import _evaluate_keys, _exact_sum
+from .functions import BernoulliFunction
 
 # the largest n enumerated: 2^16 evaluations, as `paircert oracle` on torus:4
 ENUMERATION_LIMIT = 16
@@ -60,12 +61,6 @@ class WalshSpectrum:
         self.coefficients.setflags(write=False)
 
 
-def sign_table(masks: np.ndarray, n: int) -> np.ndarray:
-    """Sign vectors for the given mask numbers, one per row, int8."""
-    bits = (masks[:, None] >> np.arange(n, dtype=masks.dtype)) & 1
-    return (1 - 2 * bits).astype(np.int8)
-
-
 def _fwht(values: np.ndarray) -> np.ndarray:
     """Unnormalized fast Walsh-Hadamard transform (involution up to 2^n)."""
     out = np.array(values)
@@ -90,11 +85,7 @@ def _enumerate_values(fn: BernoulliFunction) -> np.ndarray:
     total = 1 << n
     if n > ENUMERATION_LIMIT:
         raise BudgetError(f"enumeration at n={n} needs 2^{n} = {total} evaluations; the budget stops at n={ENUMERATION_LIMIT}")
-    size = block_rows(n)
-    return np.concatenate([
-        fn.evaluate_block(sign_table(np.arange(start, min(start + size, total), dtype=np.uint32), n))
-        for start in range(0, total, size)
-    ])
+    return _evaluate_keys(lambda table: (fn.evaluate_block(table),), np.arange(total, dtype="<u8")[:, None], n, threads=1)[0]
 
 
 def _exact_mean(values: np.ndarray) -> float | complex:

@@ -369,6 +369,7 @@ def test_delta_gate_requires_yes(capsys):
         )
     assert code == 2
     assert "p=1001" in err
+    assert "at most 512 rows are factored" in err  # all-ones is one of the 2^9 keys
     assert "--yes" in err
 
 

@@ -144,13 +144,17 @@ def test_pair_sweep_evaluates_each_distinct_pair_product_once(torus3_params, thr
     fn = ResolventTraceFunction(torus3_params)
 
     def recording(table):
-        seen.extend(row.tobytes() for row in table)
+        seen.append((threading.get_ident(), [row.tobytes() for row in table]))
         return fn.evaluate_block_with_g(table)
 
     s = sample(200, 9, 4)
     estimator._pair_sweep(recording, s, threads)
-    assert seen[0] == all_ones(9).tobytes()
-    assert sorted(seen[1:]) == sorted(_distinct_pair_products(s))
+    # all-ones first in the calling thread's first block, and every row of {all-ones} and the
+    # products once: all-ones is also a product here
+    assert [rows for thread, rows in seen if thread == threading.get_ident()][0][0] == all_ones(9).tobytes()
+    rows = [row for _, block in seen for row in block]
+    assert sorted(rows) == sorted(_distinct_pair_products(s) | {all_ones(9).tobytes()})
+    assert len(rows) == 512
 
 
 @pytest.mark.parametrize("buffer", [1, 7, estimator.KEY_BUFFER])
@@ -165,12 +169,30 @@ def test_pair_multiset_counts_every_pair(monkeypatch, buffer):
     for s in tables:
         p, n = s.shape
         keys, counts = estimator._pair_multiset(s)
-        rows = 1 - 2 * np.unpackbits(keys.view(np.uint8), axis=1, count=n).view(np.int8)
-        expected = collections.Counter((s[i] * s[j]).tobytes() for i in range(p) for j in range(i + 1, p))
+        rows = 1 - 2 * np.unpackbits(keys.view(np.uint8), axis=1, count=n, bitorder="little").view(np.int8)
+        # all-ones is key 0, first, counting the pairs with X_i = X_j (0 where there are none)
+        ones = all_ones(n).tobytes()
+        expected = {ones: 0, **collections.Counter((s[i] * s[j]).tobytes() for i in range(p) for j in range(i + 1, p))}
+        assert not keys[0].any() and rows[0].tobytes() == ones
         assert len(keys) == len(expected)
         assert {row.tobytes(): int(count) for row, count in zip(rows, counts)} == expected
         # ascending, as the sweep's chunks and their dealing to threads assume
         assert (np.lexsort(keys.T) == np.arange(len(keys))).all()
+
+
+def test_pair_multiset_key_is_the_oracle_mask():
+    # one key format: bit k of a key is coordinate k, so the product of all-ones and the
+    # oracle's sign vector number `mask` has key `mask`, after key 0 for all-ones itself
+    for mask in range(1 << 9):
+        v = (1 - 2 * ((mask >> np.arange(9)) & 1)).astype(np.int8)
+        keys, counts = estimator._pair_multiset(np.stack([all_ones(9), v]))
+        expected = ([[0]], [1]) if mask == 0 else ([[0], [mask]], [0, 1])
+        assert (keys.tolist(), counts.tolist()) == expected
+    # two words: coordinate 64 is bit 0 of the second
+    v = all_ones(70)
+    v[64] = -1
+    keys, counts = estimator._pair_multiset(np.stack([all_ones(70), v]))
+    assert (keys.tolist(), counts.tolist()) == ([[0, 0], [0, 1]], [0, 1])
 
 
 def _sum_of_copies(values, counts):
@@ -223,15 +245,16 @@ def test_weighted_sum_overflows_where_the_sum_of_copies_does(values, counts):
 
 
 def test_factorizations_count_distinct_pair_products(torus3, torus3_params):
-    # evaluations count every pair; factorizations count all-ones and each distinct product, per function swept
+    # evaluations count every pair; factorizations count the distinct keys, per function swept:
+    # all-ones and each distinct product, all-ones once where it is also a product (p = 200)
     f1, f2 = dominating_resolvent_scale(AnalyticFunction.polynomial([0.0, 0.0, 1.0]), torus3_params, torus3)
-    for p, seed in ((200, 4), (12, 3), (2, 0), (1, 0)):
-        distinct = len(_distinct_pair_products(sample(p, 9, seed)))
+    for p, seed, keys in ((200, 4, 512), (12, 3, 61), (2, 0, 2), (1, 0, 1)):
+        assert len(_distinct_pair_products(sample(p, 9, seed)) | {all_ones(9).tobytes()}) == keys
         evaluations = p * (p - 1) // 2 + 1
         cert = certify(ResolventTraceFunction(torus3_params), p, seed, threads=2)
-        assert cert.counters == EvalCounters(evaluations=evaluations, factorizations=1 + distinct)
+        assert cert.counters == EvalCounters(evaluations=evaluations, factorizations=keys)
         disc = certify_dominated(f1, GFunction(f2), p, seed, threads=2)
-        assert disc.counters == EvalCounters(evaluations=evaluations, factorizations=2 * (1 + distinct))
+        assert disc.counters == EvalCounters(evaluations=evaluations, factorizations=2 * keys)
 
 
 def test_thread_count_invariance(torus3, torus3_params):
@@ -268,10 +291,10 @@ def test_pair_sweep_submits_one_task_per_extra_block(monkeypatch, torus3_params)
     submitted.clear()
     estimator._pair_sweep(RecordingResolvent(torus3_params).evaluate_block_with_g, s, 1)
     assert submitted == []
-    # all-ones, then the 29 distinct of the 36 pair products in one chunk: block_rows(9) holds them all
-    distinct = len({(s[i] * s[j]).tobytes() for i in range(9) for j in range(i + 1, 9)})
-    assert distinct == 29
-    assert callers == [(threading.get_ident(), 1), (threading.get_ident(), distinct)]
+    # the 29 distinct of the 36 pair products, all-ones among them, in one chunk: block_rows(9) holds them all
+    distinct = {(s[i] * s[j]).tobytes() for i in range(9) for j in range(i + 1, 9)}
+    assert len(distinct) == 29 and all_ones(9).tobytes() in distinct
+    assert callers == [(threading.get_ident(), 29)]
 
 
 def test_sandwich_small_sweep(torus3_params, torus3_exact):
@@ -507,8 +530,8 @@ def test_dominated_complex_center(torus3, torus3_params):
 
 
 def test_dominated_is_one_sweep(monkeypatch, torus3, torus3_params):
-    # f1 and g2 share one sample, one pool, one all-ones call each and one sweep: every block
-    # goes to f1 and then to g2 in the thread that formed it
+    # f1 and g2 share one sample, one pool and one sweep: every block goes to f1 and then to g2
+    # in the thread that formed it, and all-ones is the first row of the calling thread's first block
     pools, calls = [], []
 
     class CountingPool(ThreadPoolExecutor):
@@ -530,7 +553,7 @@ def test_dominated_is_one_sweep(monkeypatch, torus3, torus3_params):
 
     monkeypatch.setattr(estimator, "ThreadPoolExecutor", CountingPool)
     monkeypatch.setattr(estimator, "block_rows", lambda _: 7)
-    ones = all_ones(9)[None].tobytes()
+    ones = all_ones(9).tobytes()
     f1, f2 = dominating_resolvent_scale(AnalyticFunction.polynomial([0.0, 0.0, 1.0]), torus3_params, torus3)
     reference = certify_dominated(f1, GFunction(f2), 12, 3, threads=1)
     for threads in (1, 3):
@@ -538,13 +561,13 @@ def test_dominated_is_one_sweep(monkeypatch, torus3, torus3_params):
         calls.clear()
         cert = certify_dominated(Recording("f1", f1), Recording("g2", GFunction(f2)), 12, 3, threads=threads)
         assert pools == [threads]
-        assert [name for name, _, table in calls if table == ones] == ["f1", "g2"]
+        assert [(name, t) for name, t, table in calls if table[:9] == ones] == [("f1", threading.get_ident()), ("g2", threading.get_ident())]
         for thread in {thread for _, thread, _ in calls}:
             mine = [(name, table) for name, t, table in calls if t == thread]
             assert [name for name, _ in mine] == ["f1", "g2"] * (len(mine) // 2)
             assert [table for name, table in mine if name == "f1"] == [table for name, table in mine if name == "g2"]
-        if threads == 1:  # all-ones, then the 60 distinct of the 66 pair products in eight blocks of 7 and one of 4
-            assert len(calls) == 2 * 10
+        if threads == 1:  # all-ones and the 60 distinct of the 66 pair products: eight blocks of 7 and one of 5
+            assert len(calls) == 2 * 9
         assert cert.to_json_dict() == reference.to_json_dict()
 
 
