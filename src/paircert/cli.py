@@ -335,7 +335,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
-    except (FactorizationError, QuadratureError, OSError) as exc:
+    except (FactorizationError, QuadratureError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, MemoryError) as exc:

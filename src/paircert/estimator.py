@@ -23,13 +23,14 @@ F and G depend on the pair products only as a multiset, and when
 p(p-1)/2 exceeds 2^n it repeats rows. Keyed by its -1 entries, all-ones
 is key 0; it and each distinct pair product are evaluated once, in chunks
 of block_rows(n), by the evaluator that also enumerates the oracle's 2^n
-keys, and each value is weighted by its count. A value's bits do not
-depend on its chunk. Each count is split into its binary digits, and
-math.fsum sums the terms v * 2^k, one per set digit k: scaling by a power
-of two is exact, so these terms have the exact sum of every pair's value,
-and fsum returns that sum exactly rounded. The weighted sums are therefore
-those over every pair bit for bit, and certificates are byte-stable under
-any evaluation order, thread count, or chunking.
+keys, and each value is weighted by its count. The sweep counts the
+distinct keys it evaluates: that is its factorization counter. A value's
+bits do not depend on its chunk. Each count is split into its binary
+digits, and math.fsum sums the terms v * 2^k, one per set digit k: scaling
+by a power of two is exact, so these terms have the exact sum of every
+pair's value, and fsum returns that sum exactly rounded. The weighted sums
+are therefore those over every pair bit for bit, and certificates are
+byte-stable under any evaluation order, thread count, or chunking.
 
 A small additive slack (NUMERICAL_SLACK) widens every reported interval
 to absorb floating-point error in the evaluations themselves; the
@@ -55,8 +56,8 @@ NUMERICAL_SLACK = 1e-8
 class EvalCounters:
     """Cost accounting: evaluations, the p(p-1)/2 + 1 rows the certificate
     averages (the pairs and all-ones), and factorizations, one per function
-    swept for each distinct key evaluated: all-ones and the distinct pair
-    products, all-ones once even where it is also a pair product.
+    swept for each distinct key the pair sweep evaluates: all-ones and the
+    distinct pair products, all-ones once even where it is also a pair product.
     Both follow from the inputs, so equal runs give equal counters. Wall time
     is the caller's to take; the JSON keeps `wall_ms` as null, as schema 1
     requires."""
@@ -254,13 +255,16 @@ def _evaluate_keys(evaluate_block, keys: np.ndarray, n: int, threads: int):
     return tuple(np.concatenate(parts) for parts in zip(*(swept[k % threads][k // threads] for k in range(chunks))))
 
 
-def _pair_sweep(evaluate_block, signs: np.ndarray, threads: int):
+def _pair_sweep(evaluate_block, signs: np.ndarray, swept: int, threads: int):
     """Per-component pair-product averages of evaluate_block(table) -> tuple
-    of arrays over the rows of a (p, n) sign table, and the values at all-ones.
+    of arrays over the rows of a (p, n) sign table, the values at all-ones,
+    and the counters of a sweep that takes `swept` functions on each row.
 
     Each key of _pair_multiset, all-ones first, is evaluated once
     (_evaluate_keys) and weighted by its count (_weighted_sum), so each
-    average is bit for bit the one over every pair.
+    average is bit for bit the one over every pair. The sweep counts the
+    p(p-1)/2 + 1 evaluations the certificate averages and one factorization
+    per function swept for each distinct key it evaluates.
     """
     p, n = signs.shape
     keys, counts = _pair_multiset(signs)
@@ -268,24 +272,7 @@ def _pair_sweep(evaluate_block, signs: np.ndarray, threads: int):
     ones = tuple(v[0].item() for v in values)
     square = float(p) * float(p)
     averages = tuple((p * one + 2.0 * _weighted_sum(v, counts)) / square for v, one in zip(values, ones))
-    return averages, ones
-
-
-def _run(evaluate_block, n: int, swept: int, p: int, seed: int, threads: int):
-    """Sample p sign vectors of length n from seed and sweep their pairs once
-    with evaluate_block, which takes `swept` functions on each row. Returns
-    the sweep's averages, its values at all-ones and its counters: the
-    p(p-1)/2 + 1 evaluations the certificate averages, and one factorization
-    per function swept for each row the sweep hands evaluate_block, that is
-    (distinct keys, all-ones included) * swept."""
-    rows = []
-
-    def counted(table):
-        rows.append(len(table))  # one append per call, from any thread of the sweep
-        return evaluate_block(table)
-
-    averages, ones = _pair_sweep(counted, sample(p, n, seed), threads)
-    return averages, ones, EvalCounters(evaluations=p * (p - 1) // 2 + 1, factorizations=sum(rows) * swept)
+    return averages, ones, EvalCounters(evaluations=p * (p - 1) // 2 + 1, factorizations=len(keys) * swept)
 
 
 def markov_apriori(c: float, p: int) -> float:
@@ -327,7 +314,7 @@ def certify(fn: BernoulliFunction, p: int, seed: int, threads: int = 1) -> Certi
     checked here (it is a structural property of the function; see the
     oracle module for small-n verification).
     """
-    (f_bar, g_bar), (_, g_one), counters = _run(fn.evaluate_block_with_g, fn.n, 1, p, seed, threads)
+    (f_bar, g_bar), (_, g_one), counters = _pair_sweep(fn.evaluate_block_with_g, sample(p, fn.n, seed), 1, threads)
     cert = Certificate(f_bar=f_bar, g_bar=g_bar, p=p, seed=seed, g_at_ones=g_one, c_bound=fn.bounded_difference_constant, counters=counters)
     if not cert.lower <= cert.upper:
         raise FactorizationError(f"numerical breakdown: g_bar={g_bar!r} leaves the empty interval [{cert.lower!r}, {cert.upper!r}]")
@@ -344,7 +331,7 @@ def certify_dominated(f1: BernoulliFunction, g2: BernoulliFunction, p: int, seed
     """
     if g2.n != f1.n:
         raise ValueError(f"g2 dimension {g2.n} does not match f1 dimension {f1.n}")
-    (center, radius), _, counters = _run(lambda table: (f1.evaluate_block(table), g2.evaluate_block(table)), f1.n, 2, p, seed, threads)
+    (center, radius), _, counters = _pair_sweep(lambda table: (f1.evaluate_block(table), g2.evaluate_block(table)), sample(p, f1.n, seed), 2, threads)
     radius = float(radius) + NUMERICAL_SLACK
     if not radius >= 0.0:
         raise FactorizationError(f"numerical breakdown: the computed radius {radius!r} is negative")

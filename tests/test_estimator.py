@@ -90,12 +90,12 @@ def test_pair_estimate_matches_full_double_sum(torus3_params):
 def test_order_invariance_exact(torus3_params):
     fn = ResolventTraceFunction(torus3_params)
     s = sample(7, 9, 3)
-    base = estimator._pair_sweep(fn.evaluate_block_with_g, s, 1)
+    base = estimator._pair_sweep(fn.evaluate_block_with_g, s, 1, 1)
     rng = np.random.default_rng(0)
     for _ in range(3):
         perm = rng.permutation(7)
         shuffled = s[perm]
-        assert estimator._pair_sweep(fn.evaluate_block_with_g, shuffled, 1) == base
+        assert estimator._pair_sweep(fn.evaluate_block_with_g, shuffled, 1, 1) == base
 
 
 def test_pair_sweep_matches_pair_product_loop(torus3_params):
@@ -107,7 +107,7 @@ def test_pair_sweep_matches_pair_product_loop(torus3_params):
     pairs = [fn.evaluate_with_g(pair_product(s, i, j)) for i in range(p) for j in range(i + 1, p)]
     expected = tuple((p * one + 2.0 * math.fsum(v[k] for v in pairs)) / (p * p) for k, one in enumerate(ones))
     for threads in (1, 3):
-        assert estimator._pair_sweep(fn.evaluate_block_with_g, s, threads) == (expected, ones)
+        assert estimator._pair_sweep(fn.evaluate_block_with_g, s, 1, threads)[:2] == (expected, ones)
 
 
 def _distinct_pair_products(s):
@@ -135,7 +135,7 @@ def test_pair_sweep_matches_pair_product_loop_where_products_repeat(dominated, t
     pairs = [evaluate(pair_product(s, i, j)) for i in range(p) for j in range(i + 1, p)]
     expected = tuple((p * one + 2.0 * math.fsum(v[k] for v in pairs)) / (p * p) for k, one in enumerate(ones))
     for threads in (1, 3):  # block_rows(9) = 404: at threads=3 the two chunks go to two threads
-        assert estimator._pair_sweep(evaluate_block, s, threads) == (expected, ones)
+        assert estimator._pair_sweep(evaluate_block, s, 2 if dominated else 1, threads)[:2] == (expected, ones)
 
 
 @pytest.mark.parametrize("threads", [1, 3])
@@ -148,13 +148,14 @@ def test_pair_sweep_evaluates_each_distinct_pair_product_once(torus3_params, thr
         return fn.evaluate_block_with_g(table)
 
     s = sample(200, 9, 4)
-    estimator._pair_sweep(recording, s, threads)
+    _, _, counters = estimator._pair_sweep(recording, s, 1, threads)
     # all-ones first in the calling thread's first block, and every row of {all-ones} and the
     # products once: all-ones is also a product here
     assert [rows for thread, rows in seen if thread == threading.get_ident()][0][0] == all_ones(9).tobytes()
     rows = [row for _, block in seen for row in block]
     assert sorted(rows) == sorted(_distinct_pair_products(s) | {all_ones(9).tobytes()})
     assert len(rows) == 512
+    assert counters.factorizations == len(rows)
 
 
 @pytest.mark.parametrize("buffer", [1, 7, estimator.KEY_BUFFER])
@@ -285,11 +286,11 @@ def test_pair_sweep_submits_one_task_per_extra_block(monkeypatch, torus3_params)
     s = sample(9, 9, 8)
     for threads in (2, 5, 16):
         submitted.clear()
-        estimator._pair_sweep(ResolventTraceFunction(torus3_params).evaluate_block_with_g, s, threads)
+        estimator._pair_sweep(ResolventTraceFunction(torus3_params).evaluate_block_with_g, s, 1, threads)
         assert len(submitted) <= min(threads, len(s) - 1) - 1
 
     submitted.clear()
-    estimator._pair_sweep(RecordingResolvent(torus3_params).evaluate_block_with_g, s, 1)
+    estimator._pair_sweep(RecordingResolvent(torus3_params).evaluate_block_with_g, s, 1, 1)
     assert submitted == []
     # the 29 distinct of the 36 pair products, all-ones among them, in one chunk: block_rows(9) holds them all
     distinct = {(s[i] * s[j]).tobytes() for i in range(9) for j in range(i + 1, 9)}

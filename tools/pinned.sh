@@ -32,3 +32,4 @@ run oracle --graph torus:3 --lambda 1 --gamma 1
 run oracle --graph torus:4 --lambda 1.3 --gamma 1
 run oracle --graph torus:3 --lambda 1 --gamma 1 --h exp:0.1
 run oracle --graph torus:4 --lambda 0.9 --gamma 1.1 --h poly:0,1,1
+run certify --graph torus:3 --lambda 1 --gamma 1 --p 1001 --seed 1
