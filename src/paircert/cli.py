@@ -161,7 +161,7 @@ def cmd_certify(args: argparse.Namespace, graph: Graph, params: ResolventParams)
         return _certificate_doc(args, graph, cert), lines, True
 
     if args.delta is not None:
-        # choose_p prices the resolvent width 10*lam/(gamma^2*delta), which ignores kappa
+        # choose_p prices the resolvent width 10*lam/(gamma^2*delta), which ignores h and its dominating function
         raise ValueError("--delta picks p for the resolvent trace only; with --h, give --p")
     h = AnalyticFunction.from_spec(args.h)
     f1, f2 = dominating_resolvent_scale(h, params, graph)

@@ -255,7 +255,7 @@ def _evaluate_keys(evaluate_block, keys: np.ndarray, n: int, threads: int):
     return tuple(np.concatenate(parts) for parts in zip(*(swept[k % threads][k // threads] for k in range(chunks))))
 
 
-def _pair_sweep(evaluate_block, signs: np.ndarray, swept: int, threads: int):
+def _pair_sweep(evaluate_block, signs: np.ndarray, swept: int, threads: int, names=("f", "g")):
     """Per-component pair-product averages of evaluate_block(table) -> tuple
     of arrays over the rows of a (p, n) sign table, the values at all-ones,
     and the counters of a sweep that takes `swept` functions on each row.
@@ -264,14 +264,23 @@ def _pair_sweep(evaluate_block, signs: np.ndarray, swept: int, threads: int):
     (_evaluate_keys) and weighted by its count (_weighted_sum), so each
     average is bit for bit the one over every pair. The sweep counts the
     p(p-1)/2 + 1 evaluations the certificate averages and one factorization
-    per function swept for each distinct key it evaluates.
+    per function swept for each distinct key it evaluates. A weighted sum
+    that leaves the float range raises OverflowError naming its component,
+    from `names`, and p.
     """
     p, n = signs.shape
     keys, counts = _pair_multiset(signs)
     values = _evaluate_keys(evaluate_block, keys, n, threads)
     ones = tuple(v[0].item() for v in values)
     square = float(p) * float(p)
-    averages = tuple((p * one + 2.0 * _weighted_sum(v, counts)) / square for v, one in zip(values, ones))
+
+    def average(v, one, name):
+        try:
+            return (p * one + 2.0 * _weighted_sum(v, counts)) / square
+        except OverflowError:
+            raise OverflowError(f"the pair sum of {name} over p={p} samples leaves the float range") from None
+
+    averages = tuple(average(v, one, name) for v, one, name in zip(values, ones, names, strict=True))
     return averages, ones, EvalCounters(evaluations=p * (p - 1) // 2 + 1, factorizations=len(keys) * swept)
 
 
@@ -331,7 +340,7 @@ def certify_dominated(f1: BernoulliFunction, g2: BernoulliFunction, p: int, seed
     """
     if g2.n != f1.n:
         raise ValueError(f"g2 dimension {g2.n} does not match f1 dimension {f1.n}")
-    (center, radius), _, counters = _pair_sweep(lambda table: (f1.evaluate_block(table), g2.evaluate_block(table)), sample(p, f1.n, seed), 2, threads)
+    (center, radius), _, counters = _pair_sweep(lambda table: (f1.evaluate_block(table), g2.evaluate_block(table)), sample(p, f1.n, seed), 2, threads, ("f1", "g2"))
     radius = float(radius) + NUMERICAL_SLACK
     if not radius >= 0.0:
         raise FactorizationError(f"numerical breakdown: the computed radius {radius!r} is negative")

@@ -30,16 +30,19 @@ the stack of base - lam*D_eps, one matrix per row. With base -Lap it is
 H_eps for the spectral trace: a polynomial h = sum_k c_k z^k takes
 (1/n) * sum_k c_k Tr H^k, each power sum one dot product of the entries
 of two stacked matmul powers, while those matmuls cost less than one
-eigvalsh (POWER_SUM_BUDGET); any other h takes eigvalsh. With base
-(lam+gamma)I - Lap the resolvent leaves M^-1 in it. dpotrf and dpotri
-from numpy's bundled OpenBLAS, called through ctypes with the GIL
-released, invert each matrix in place; LAPACK reads a C-ordered matrix
-as its transpose, so its lower triangle is the row's upper one, T. A
-numpy build without them writes M^-1 = X^T X over the stack, X = L^-1
-for M = L L^T. Then f = Tr M^-1 / n, and one tail reads the diagonal,
-zeroes the other triangle, squares T in place and takes the column
-norms as colsum(T^2) + rowsum(T^2) - diag(T^2). One vector is the
-k = 1 case, so no value depends on the split.
+eigvalsh (POWER_SUM_BUDGET); any other h takes eigvalsh. With base |Lap|
+and -lam it is B_eps = lam*D_eps + |Lap|, whose power sums with weights
+|c_k| make the walk majorant that dominates such an h-trace; the same
+power chain gives the diagonals its flip half-sum needs, so it factors
+nothing. With base (lam+gamma)I - Lap the resolvent leaves M^-1 in it.
+dpotrf and dpotri from numpy's bundled OpenBLAS, called through ctypes
+with the GIL released, invert each matrix in place; LAPACK reads a
+C-ordered matrix as its transpose, so its lower triangle is the row's
+upper one, T. A numpy build without them writes M^-1 = X^T X over the
+stack, X = L^-1 for M = L L^T. Then f = Tr M^-1 / n, and one tail reads
+the diagonal, zeroes the other triangle, squares T in place and takes
+the column norms as colsum(T^2) + rowsum(T^2) - diag(T^2). One vector is
+the k = 1 case, so no value depends on the split.
 """
 
 from __future__ import annotations
@@ -236,6 +239,20 @@ class BernoulliFunction:
         return self._factorizations.value
 
 
+class _BlockKernel(BernoulliFunction):
+    """A function whose kernel `_block(table, with_g)` returns (f, g or None) over a sign table."""
+
+    def evaluate_with_g(self, eps: np.ndarray) -> tuple[float, float]:
+        f, g = self.evaluate_block_with_g(np.asarray(eps)[None])
+        return float(f[0]), float(g[0])
+
+    def evaluate_block(self, table: np.ndarray) -> np.ndarray:
+        return self._block(table, with_g=False)[0]
+
+    def evaluate_block_with_g(self, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self._block(table, with_g=True)
+
+
 def _operators(base: np.ndarray, lam: float, table: np.ndarray) -> np.ndarray:
     """C-contiguous float64 (k, n, n) stack of base - lam*diag(eps), one matrix per row of the sign table."""
     k, n = len(table), len(base)
@@ -256,7 +273,7 @@ def naive_g(fn: BernoulliFunction, eps: np.ndarray):
     return 0.5 * acc
 
 
-class ResolventTraceFunction(BernoulliFunction):
+class ResolventTraceFunction(_BlockKernel):
     """Normalized resolvent trace of the sign-diagonal operator on a graph, times `scale`."""
 
     def __init__(self, params: ResolventParams, scale: float = 1.0):
@@ -303,16 +320,6 @@ class ResolventTraceFunction(BernoulliFunction):
         col_sq = m.sum(axis=1) + m.sum(axis=2) - np.diagonal(m, axis1=1, axis2=2)
         return self.scale * f, self.scale * ((lam / n) * (table * col_sq / denom).sum(axis=1))
 
-    def evaluate_with_g(self, eps: np.ndarray) -> tuple[float, float]:
-        f, g = self.evaluate_block_with_g(np.asarray(eps)[None])
-        return float(f[0]), float(g[0])
-
-    def evaluate_block(self, table: np.ndarray) -> np.ndarray:
-        return self._block(table, with_g=False)[0]
-
-    def evaluate_block_with_g(self, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._block(table, with_g=True)
-
     @property
     def bounded_difference_constant(self) -> float:
         # one flip moves the unscaled trace by at most 2*lam/(n*gamma^2)
@@ -323,17 +330,19 @@ class ResolventTraceFunction(BernoulliFunction):
 class AnalyticFunction:
     """Complex function h, analytic on the disk the contour constant needs.
 
-    The disc certificate holds only if h is analytic on a neighborhood of
-    the closed disk |z - d| <= d + lam + gamma, since kappa comes from
-    Cauchy's formula on its boundary. No code can check that, so it is the
-    caller's promise: the built-in constructors give entire functions, and
-    at small n the oracle's `check_domination` tests the domination it
-    implies. Evaluators must accept numpy arrays of any shape and act
-    elementwise. A polynomial h gives its `coefficients` c_0, ..., c_deg,
-    low to high, in place of an evaluator: trailing zeros are dropped and
-    the evaluator is built from them, so the spectral trace and the contour
-    constant read one h. None, as for `exp_scaled`, means h is known by its
-    evaluator alone.
+    A disc certificate that takes kappa times the resolvent holds only if h
+    is analytic on a neighborhood of the closed disk |z - d| <= d + lam +
+    gamma, since kappa comes from Cauchy's formula on its boundary. No code
+    can check that, so it is the caller's promise: the built-in
+    constructors give entire functions, and at small n the oracle's
+    `check_domination` tests the domination it implies. Evaluators must
+    accept numpy arrays of any shape and act elementwise. A polynomial h
+    gives its `coefficients` c_0, ..., c_deg, low to high, in place of an
+    evaluator: trailing zeros are dropped and the evaluator is built from
+    them, so the spectral trace, the walk majorant and the contour constant
+    read one h, and `dominating_resolvent_scale` can dominate it by its walk
+    majorant, which needs no contour. None, as for `exp_scaled`, means h is
+    known by its evaluator alone, and always takes kappa.
     """
 
     name: str
@@ -413,14 +422,100 @@ class SpectralTraceFunction(BernoulliFunction):
         if coeffs is None:
             return np.mean(self.h(np.linalg.eigvalsh(m)), axis=1)
         k, n = len(table), self.n
-        powers = [m]  # H, H^2, ..., H^ceil(deg/2)
-        while len(powers) < len(coeffs) // 2:
-            powers.append(np.matmul(powers[-1], m))
-        rows = [power.reshape(k, n * n) for power in powers]
+        rows = [power.reshape(k, n * n) for power in _power_chain(m, len(coeffs) // 2)]
         # Tr H^(a+b) = sum_ij (H^a)_ij (H^b)_ij, since H^a is symmetric; a = floor(j/2) and b = j - a
         moments = [np.full(k, float(n)), np.trace(m, axis1=1, axis2=2)]
         moments += [np.einsum("ij,ij->i", rows[j // 2 - 1], rows[j - j // 2 - 1]) for j in range(2, len(coeffs))]
         return sum(c * t for c, t in zip(coeffs, moments)) / n
+
+
+def _power_chain(m: np.ndarray, top: int) -> list[np.ndarray]:
+    """[m, m^2, ..., m^top] over a stack, one stacked matmul for each power past m; [m] when top < 2."""
+    powers = [m]
+    while len(powers) < top:
+        powers.append(np.matmul(powers[-1], m))
+    return powers
+
+
+def _walk_sums(b: np.ndarray, weights: tuple, delta: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """(1/n) * sum_k w_k Tr b^k for each symmetric matrix b of a (k, n, n) stack and, given the (k, n)
+    diagonal shifts delta, the flip half-sum -(1/2n) * sum_r sum_k w_k D_k(r), else None.
+
+    D_k(r) = Tr(b + delta_r E_rr)^k - Tr b^k. Since -log det(I - tX) = sum_k t^k Tr X^k / k and the shift
+    is rank one, sum_k t^k D_k / k = -log(1 - sum_a t^a u_a) with u_a = delta_r (b^(a-1))_rr; taking
+    t d/dt gives D_k = k u_k + sum_{i<k} u_i D_{k-i}. Every diagonal (b^a)_rr, a <= deg, is a row dot
+    of two powers of the chain that the spectral trace takes, so no matrix is factored.
+    """
+    k, n = b.shape[:2]
+    degree = len(weights) - 1
+    rows = [power.reshape(k * n, n) for power in _power_chain(b, len(weights) // 2)]
+    # (b^a)_rr = sum_j (b^floor(a/2))_rj (b^ceil(a/2))_rj, since b^floor(a/2) is symmetric
+    diagonals = [np.ones((k, n)), np.diagonal(b, axis1=1, axis2=2)]
+    diagonals += [np.einsum("ij,ij->i", rows[a // 2 - 1], rows[a - a // 2 - 1]).reshape(k, n) for a in range(2, degree + 1)]
+    f = sum(w * d.sum(axis=1) for w, d in zip(weights, diagonals)) / n
+    if delta is None:
+        return f, None
+    u = [delta * d for d in diagonals[:degree]]  # u[a - 1] = u_a
+    flips = []  # flips[j - 1] = D_j
+    for j in range(1, degree + 1):
+        flips.append(j * u[j - 1] + sum(u[i - 1] * flips[j - i - 1] for i in range(1, j)))
+    g = sum((w * d for w, d in zip(weights[1:], flips)), np.zeros((k, n)))
+    return f, -g.sum(axis=1) / (2 * n)
+
+
+class WalkMajorantFunction(_BlockKernel):
+    """Walk majorant of a polynomial h's spectral trace: (1/n) * sum_k |c_k| Tr B_eps^k, B_eps = lam*D_eps + |Lap|.
+
+    Expanding Tr H_eps^k, H_eps = -lam*D_eps - Lap, over closed walks makes each term a weight times a
+    monomial chi_S; taking every entry of H_eps by modulus (|Lap| entrywise, lam for -lam) takes each
+    weight to its modulus and keeps its monomial. So every Walsh coefficient of this function is
+    nonnegative and at least the modulus of the spectral trace's, exactly: it dominates
+    SpectralTraceFunction(h) coefficientwise with no contour constant. Its flip half-sum comes from the
+    same power chain (_walk_sums).
+    """
+
+    def __init__(self, h: AnalyticFunction, params: ResolventParams):
+        super().__init__(params.n)
+        self.params = params
+        self._abs_lap = np.abs(params.laplacian)
+        self._weights = tuple(abs(c) for c in h.coefficients)
+
+    def _block(self, table: np.ndarray, with_g: bool) -> tuple[np.ndarray, np.ndarray | None]:
+        table = np.asarray(table)
+        lam = self.params.lam
+        b = _operators(self._abs_lap, -lam, table)
+        self._factorizations.add(len(table))
+        return _walk_sums(b, self._weights, -2.0 * lam * table if with_g else None)
+
+    @property
+    def rounding_bound(self) -> float:
+        """A-priori bound rho on the rounding error of one evaluation of the spectral trace f1 of h plus
+        one of g2, this function's flip half-sum, at any eps, both as their kernels compute them.
+
+        Bhat = lam*I + |Lap| bounds |H_eps| and |B_eps| entrywise at every eps, hence every power of
+        either by Bhat^a, and every flipped B_eps + delta_r E_rr, |delta_r| = 2*lam, by Bhat + 2*lam E_rr.
+        With gamma_N = N*u/(1 - N*u), u = 2^-53, an inner product of length m computed in any order errs
+        by at most gamma_m times the one of the moduli, and gamma_a + gamma_b + gamma_a*gamma_b <=
+        gamma_(a+b) (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.1). So:
+        assembling an operator rounds each diagonal entry once, and power a of the chain, one inner
+        product of length n per entry and step, is within gamma_(1 + (a-1)(n+1)) Bhat^a. A moment
+        Tr H^k, the inner product of length n*n of two chain powers, or a diagonal (B^a)_rr, one of
+        length n, is then within gamma_(n*n + deg*(n+1)) of its Bhat bound, for k, a <= deg. The
+        coefficients, the flip recursion (at most j roundings on a path through level j), the sums
+        over k and r, the division, and the pair combiner's fsum and three roundings add at most
+        (deg+1)*(deg+3) + n + 8. So N = n*n + deg*(n+1) + (deg+1)*(deg+3) + n + 8 bounds every
+        path, and one f1 is within gamma_N * That, That = (1/n) * sum_k |c_k| Tr Bhat^k, one g2
+        within gamma_N * Ghat, Ghat = (1/2n) * sum_r sum_k |c_k| (Tr(Bhat + 2 lam E_rr)^k - Tr Bhat^k),
+        both computed by _walk_sums. rho = 2 * gamma_N * (That + Ghat): the factor 2 covers sqrt(2) for
+        complex coefficients, the roundings of That and Ghat, and the radius's own final sum.
+        """
+        n, lam, degree = self.n, self.params.lam, len(self._weights) - 1
+        count = n * n + degree * (n + 1) + (degree + 1) * (degree + 3) + n + 8
+        gamma = count * 2.0**-53 / (1.0 - count * 2.0**-53)
+        b_hat = _operators(self._abs_lap, -lam, np.ones((1, n)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            f_hat, g_hat = _walk_sums(b_hat, self._weights, np.full((1, n), 2.0 * lam))
+            return float(2.0 * gamma * (f_hat[0] - g_hat[0]))
 
 
 def contour_norm_integral(h: AnalyticFunction, d: float, lam: float, gamma: float) -> float:
@@ -471,18 +566,30 @@ class GFunction(BernoulliFunction):
 
 
 def dominating_resolvent_scale(h: AnalyticFunction, params: ResolventParams, graph):
-    """Spectral trace of h plus the contour-scaled resolvent that dominates it.
+    """Spectral trace of h plus a function that dominates it.
 
-    Returns (f1, f2): f1 is the spectral trace of h and f2 the resolvent
-    trace with scale=kappa, kappa from `contour_norm_integral` at the d of
-    the operator, `params.max_degree`. Every Walsh coefficient of f1 is
-    bounded in modulus by the corresponding (nonnegative) coefficient of f2,
-    which is what the dominated certificate requires. A graph whose n or
-    maximum degree is not the Laplacian's raises ValueError.
+    Returns (f1, f2): f1 is the spectral trace of h, and every Walsh
+    coefficient of f1 is bounded in modulus by the corresponding
+    (nonnegative) coefficient of f2, which is what the dominated certificate
+    requires. f2 is the WalkMajorantFunction of h when h has coefficients,
+    f1 takes them as power sums (within POWER_SUM_BUDGET), and its
+    `rounding_bound` for one f1 plus one g2 evaluation is at most
+    NUMERICAL_SLACK, the slack the disc's radius carries: the majorant is
+    tight (for h = z^2 each b_S equals |a_S|), so rounding alone could move
+    the center past a radius with no such margin. Otherwise (exp:s, a degree
+    past the budget, a large lam) f2 is the resolvent trace with
+    scale=kappa, kappa from `contour_norm_integral` at the d of the operator,
+    `params.max_degree`. A graph whose n or maximum degree is not the
+    Laplacian's raises ValueError.
     """
     if (params.n, params.max_degree) != (graph.n, graph.max_degree):
         raise ValueError(f"laplacian (n={params.n}, max degree {params.max_degree:g}) does not match graph (n={graph.n}, max degree {graph.max_degree})")
-    kappa = contour_norm_integral(h, params.max_degree, params.lam, params.gamma)
+    from .estimator import NUMERICAL_SLACK  # estimator imports this module
+
     f1 = SpectralTraceFunction(h, params)
-    f2 = ResolventTraceFunction(params, scale=kappa)
-    return f1, f2
+    if f1._coefficients is not None:
+        f2 = WalkMajorantFunction(h, params)
+        if f2.rounding_bound <= NUMERICAL_SLACK:
+            return f1, f2
+    kappa = contour_norm_integral(h, params.max_degree, params.lam, params.gamma)
+    return f1, ResolventTraceFunction(params, scale=kappa)

@@ -338,12 +338,13 @@ def test_contour_sum_overflow_is_one_error_line():
 
 
 def test_weighted_sum_overflow_is_one_error_line():
-    # every pair value is finite, but their count-weighted sum leaves the float range: exit 1, no traceback
+    # every pair value is finite, but their count-weighted sum leaves the float range: exit 1, no
+    # traceback, and the one line names the sum and p
     argv = ["certify", "--graph", "torus:3", "--lambda", "1", "--gamma", "1", "--p", "300", "--seed", "1", "--h", "poly:0,0,1e303"]
     run = _run_subprocess(argv)
     assert run.returncode == 1
     assert run.stdout == b""
-    assert run.stderr.decode() == "error: intermediate overflow in fsum\n"
+    assert run.stderr.decode() == "error: the pair sum of f1 over p=300 samples leaves the float range\n"
 
 
 def test_bad_h_spec_exit2(capsys):

@@ -245,6 +245,15 @@ def test_weighted_sum_overflows_where_the_sum_of_copies_does(values, counts):
         estimator._weighted_sum(values, counts)
 
 
+def test_overflowing_pair_sum_names_its_sum_and_p():
+    # every value is finite, and the count-weighted sum of the one named leaves the float range
+    huge = ConstantFunction(3, 1e308)
+    with pytest.raises(OverflowError, match=r"^the pair sum of f over p=40 samples leaves the float range$"):
+        certify(huge, 40, 1)
+    with pytest.raises(OverflowError, match=r"^the pair sum of g2 over p=40 samples"):
+        certify_dominated(ConstantFunction(3, 1.0), huge, 40, 1)
+
+
 def test_factorizations_count_distinct_pair_products(torus3, torus3_params):
     # evaluations count every pair; factorizations count the distinct keys, per function swept:
     # all-ones and each distinct product, all-ones once where it is also a product (p = 200)

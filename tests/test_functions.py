@@ -26,13 +26,14 @@ from paircert.functions import (
     ResolventParams,
     ResolventTraceFunction,
     SpectralTraceFunction,
+    WalkMajorantFunction,
     block_rows,
     contour_norm_integral,
     dominating_resolvent_scale,
     naive_g,
 )
 from paircert.graph import build_torus_cayley, from_edge_list, laplacian
-from paircert.oracle import exact_expectation
+from paircert.oracle import check_domination, exact_expectation, walsh_spectrum
 from paircert.sampling import all_ones, flip, sample
 
 from conftest import (
@@ -367,7 +368,8 @@ def test_g_function_paths(torus3_params):
 
 
 def test_dominating_pair_h_one(torus3, torus3_params):
-    one = AnalyticFunction.polynomial([1.0])
+    # an h known by its evaluator alone keeps kappa times the resolvent
+    one = AnalyticFunction("one", np.ones_like)
     f1, f2 = dominating_resolvent_scale(one, torus3_params, torus3)
     eps = all_ones(9)
     # kappa = d + lam + gamma = 6, so f2 = 6 * resolvent trace
@@ -378,11 +380,11 @@ def test_dominating_pair_h_one(torus3, torus3_params):
 
 
 def test_dominating_pair_single_vertex_square():
-    # isolated vertex, h(z) = z^2: the spectral side is identically 1 and the
-    # companion is 8 times the resolvent trace (kappa = 8 at d = 0)
+    # isolated vertex, h(z) = z^2 known by its evaluator: the spectral side is
+    # identically 1 and the companion is 8 times the resolvent trace (kappa = 8 at d = 0)
     graph = single_vertex_graph()
     params = ResolventParams(1.0, 1.0, laplacian(graph))
-    square = AnalyticFunction.polynomial([0.0, 0.0, 1.0])
+    square = AnalyticFunction("square", lambda z: z * z)
     f1, f2 = dominating_resolvent_scale(square, params, graph)
     resolvent = ResolventTraceFunction(params)
     assert f2.scale == pytest.approx(8.0, rel=1e-12)
@@ -400,6 +402,84 @@ def test_dominating_pair_dimension_check(torus3_params):
     for params, graph in [(torus3_params, build_torus_cayley(4)), (torus4_params, cycle)]:
         with pytest.raises(ValueError, match="match"):
             dominating_resolvent_scale(one, params, graph)
+
+
+MAJORANT_POLYS = ["poly:0,0,1", "poly:0,0,0,1", "poly:1,-2,0.5", "poly:0.3,-1,0.2,0.05,-0.01"]
+
+
+@pytest.mark.parametrize("complex_coefficients", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("degree", range(7))
+def test_walk_majorant_g_matches_naive(degree, complex_coefficients):
+    # the flip recursion D_k = k u_k + sum_{i<k} u_i D_{k-i} against n + 1 evaluations, on torus:3 and
+    # on a graph whose degrees differ, where |Lap| has unequal diagonal entries
+    rng = np.random.default_rng(degree)
+    coeffs = rng.uniform(-1.0, 1.0, degree + 1) + (1j * rng.uniform(-1.0, 1.0, degree + 1) if complex_coefficients else 0.0)
+    h = AnalyticFunction.polynomial(coeffs.tolist())
+    for graph in (build_torus_cayley(3), random_connected_graph(rng, 7)):
+        fn = WalkMajorantFunction(h, ResolventParams(0.7, 1.3, laplacian(graph)))
+        for _ in range(4):
+            eps = random_signs(rng, graph.n)
+            f, g = fn.evaluate_with_g(eps)
+            assert f == fn.evaluate(eps)
+            assert g == pytest.approx(naive_g(fn, eps), rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("side", [3, 4, 6])
+def test_walk_majorant_same_bits_for_any_split(monkeypatch, side):
+    # blocks of 1 (GFunction.evaluate, as a traced run makes them), 3 and all rows give the same bits,
+    # and so does the disc at threads 1 and 3
+    graph = build_torus_cayley(side)
+    params = ResolventParams(1.5, 0.75, laplacian(graph))
+    table = _pair_table(12, params.n, 5)
+    for spec in MAJORANT_POLYS:
+        h = AnalyticFunction.from_spec(spec)
+        fn = WalkMajorantFunction(h, params)
+        f_all, g_all = fn.evaluate_block_with_g(table)
+        assert [GFunction(fn).evaluate(eps) for eps in table] == g_all.tolist()
+        assert [fn.evaluate(eps) for eps in table] == f_all.tolist()
+        for size in (1, 3):
+            parts = [fn.evaluate_block_with_g(table[at:at + size]) for at in range(0, len(table), size)]
+            assert np.concatenate([f for f, _ in parts]).tolist() == f_all.tolist()
+            assert np.concatenate([g for _, g in parts]).tolist() == g_all.tolist()
+        documents = set()
+        for rows in (lambda _: 1, lambda _: 3, block_rows):
+            monkeypatch.setattr(estimator, "block_rows", rows)
+            for threads in (1, 3):
+                f1, f2 = dominating_resolvent_scale(h, params, graph)
+                assert isinstance(f2, WalkMajorantFunction)
+                documents.add(json.dumps(certify_dominated(f1, GFunction(f2), 12, 5, threads=threads).to_json_dict()))
+        assert len(documents) == 1
+
+
+@pytest.mark.parametrize("side", [3, 4])
+def test_walk_majorant_dominates_at_the_oracle(side):
+    # every |a_S| of the h-trace is at most b_S of the majorant at the oracle's tolerance; with Lap in
+    # place of |Lap| the signed walk weights no longer dominate, and the same check fails
+    graph = build_torus_cayley(side)
+    params = ResolventParams(1.0, 1.0, laplacian(graph))
+    for spec in MAJORANT_POLYS:
+        f1, f2 = dominating_resolvent_scale(AnalyticFunction.from_spec(spec), params, graph)
+        assert isinstance(f2, WalkMajorantFunction)
+        spectrum1 = walsh_spectrum(f1)
+        assert check_domination(spectrum1, walsh_spectrum(f2), 1e-10).ok, spec
+        f2._abs_lap = params.laplacian
+        assert not check_domination(spectrum1, walsh_spectrum(f2), 1e-10).ok, spec
+
+
+def test_only_kappa_reaches_the_contour(monkeypatch, torus3):
+    # a polynomial h on the majorant path never draws the contour; exp:s, a degree past the power-sum
+    # budget and a lam whose rounding bound exceeds the slack still take kappa times the resolvent
+    def refuse(*_):
+        raise AssertionError("contour_norm_integral reached")
+
+    monkeypatch.setattr(functions, "contour_norm_integral", refuse)
+    params = ResolventParams(1.0, 1.0, laplacian(torus3))
+    for spec in MAJORANT_POLYS + ["poly:2.5", "poly:0,1"]:
+        assert isinstance(dominating_resolvent_scale(AnalyticFunction.from_spec(spec), params, torus3)[1], WalkMajorantFunction)
+    torus6 = build_torus_cayley(6)
+    for spec, graph, lam in [("exp:0.3", torus3, 1.0), ("poly:0,0,1", torus3, 1e8), ("poly:" + "0," * 19 + "1", torus6, 1.0)]:
+        with pytest.raises(AssertionError, match="contour"):
+            dominating_resolvent_scale(AnalyticFunction.from_spec(spec), ResolventParams(lam, 1.0, laplacian(graph)), graph)
 
 
 def test_eq4_per_coordinate_bound(torus3):

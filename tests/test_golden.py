@@ -38,7 +38,7 @@ def test_spectral_certify_golden(capsys):
     )
     assert doc["center_re"] == pytest.approx(20.78, rel=GOLDEN_REL)
     assert doc["center_im"] == 0.0
-    assert doc["radius"] == pytest.approx(0.6672142583574953, rel=GOLDEN_REL)
+    assert doc["radius"] == pytest.approx(0.22000001, rel=GOLDEN_REL)
 
 
 def test_oracle_golden(capsys):

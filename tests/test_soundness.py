@@ -134,16 +134,31 @@ def test_torus_interval_holds_the_exact_mean(lam, gamma, p):
     _interval_holds("torus:3", lam, gamma, p, 1)
 
 
-@pytest.mark.parametrize("coefficients", [(0, 0, 1), (1, -2, 0.5), (0, 0, 0, 1)], ids=lambda c: ",".join(map(str, c)))
-@pytest.mark.parametrize("name", SMALL)
+def _disc_holds(cert, exact: Fraction) -> bool:
+    re, im = Fraction(cert.center.real) - exact, Fraction(cert.center.imag)
+    return re * re + im * im <= Fraction(cert.radius) ** 2
+
+
+@pytest.mark.parametrize("coefficients", [(0, 0, 1), (1, -2, 0.5), (0, 0, 0, 1), (0.3, -1, 0.2, 0.05, -0.01)], ids=lambda c: ",".join(map(str, c)))
+@pytest.mark.parametrize("name", SMALL + ("torus:3",))
 def test_disc_holds_the_exact_mean(name, coefficients):
     graph, lam = GRAPHS[name], 0.7
     h = AnalyticFunction.polynomial(coefficients)
     f1, f2 = dominating_resolvent_scale(h, ResolventParams(lam, 1.3, laplacian(graph)), graph)
     cert = certify_dominated(f1, GFunction(f2), 20, 3)
-    exact = _mean(exact_spectral_values(name, lam, coefficients))
-    re, im = Fraction(cert.center.real) - exact, Fraction(cert.center.imag)
-    assert re * re + im * im <= Fraction(cert.radius) ** 2
+    assert _disc_holds(cert, _mean(exact_spectral_values(name, lam, coefficients)))
+
+
+@pytest.mark.parametrize("lam", [1e4, 1e8])
+def test_square_disc_holds_at_large_lam(lam):
+    # h = z^2 on torus:3: E[Tr H^2 / n] = lam^2 + d^2 + d = lam^2 + 20 exactly. The walk majorant is
+    # tight here (b_S = |a_S|), so at these lam rounding alone moves the center past its radius unless
+    # dominating_resolvent_scale sends h to kappa times the resolvent
+    graph = GRAPHS["torus:3"]
+    f1, f2 = dominating_resolvent_scale(AnalyticFunction.polynomial((0, 0, 1)), ResolventParams(lam, 1.0, laplacian(graph)), graph)
+    exact = Fraction(lam) ** 2 + 20
+    for seed in range(20):
+        assert _disc_holds(certify_dominated(f1, GFunction(f2), 20, seed), exact), seed
 
 
 def test_exp_disc_holds_the_50_digit_mean():
