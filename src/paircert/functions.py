@@ -63,7 +63,7 @@ QUADRATURE_START_NODES = 64
 QUADRATURE_RTOL = 1e-10
 QUADRATURE_NODE_CAP = 1 << 20
 
-BLOCK_ENTRIES = 1 << 15
+BLOCK_ENTRIES = 1 << 17
 
 # A polynomial h of degree deg takes m = ceil(deg/2) - 1 matmuls a row for its power sums,
 # and takes them while m*m*n <= POWER_SUM_BUDGET, else eigvalsh. At one BLAS thread the power
@@ -100,7 +100,7 @@ def pin_one_blas_thread() -> bool:
 
 
 def block_rows(n: int) -> int:
-    """Sign vectors per block: a stacked (k, n, n) float64 array holds at most BLOCK_ENTRIES, 256 KiB."""
+    """Sign vectors per block: a stacked (k, n, n) float64 array holds at most BLOCK_ENTRIES, 1 MiB."""
     return max(1, BLOCK_ENTRIES // (n * n))
 
 

@@ -35,6 +35,7 @@ from paircert.functions import (
     ResolventParams,
     ResolventTraceFunction,
     SpectralTraceFunction,
+    block_rows,
     dominating_resolvent_scale,
 )
 from paircert.graph import build_torus_cayley, laplacian
@@ -125,7 +126,7 @@ def _swept_functions(dominated, torus3, torus3_params):
 
 
 @pytest.mark.parametrize("dominated", [False, True], ids=["interval", "disc"])
-def test_pair_sweep_matches_pair_product_loop_where_products_repeat(dominated, torus3, torus3_params):
+def test_pair_sweep_matches_pair_product_loop_where_products_repeat(monkeypatch, dominated, torus3, torus3_params):
     # 19,900 pairs at n = 9 hold 512 distinct products: each pair counts as often as it occurs
     evaluate_block, evaluate = _swept_functions(dominated, torus3, torus3_params)
     s = sample(200, 9, 4)
@@ -134,12 +135,17 @@ def test_pair_sweep_matches_pair_product_loop_where_products_repeat(dominated, t
     ones = evaluate(all_ones(9))
     pairs = [evaluate(pair_product(s, i, j)) for i in range(p) for j in range(i + 1, p)]
     expected = tuple((p * one + 2.0 * math.fsum(v[k] for v in pairs)) / (p * p) for k, one in enumerate(ones))
-    for threads in (1, 3):  # block_rows(9) = 404: at threads=3 the two chunks go to two threads
-        assert estimator._pair_sweep(evaluate_block, s, 2 if dominated else 1, threads)[:2] == (expected, ones)
+    # block_rows(9) = 1,618 takes the 512 keys in one chunk; at 404 rows, threads=3 deals two chunks to two threads
+    for rows in (block_rows, lambda _: 404):
+        monkeypatch.setattr(estimator, "block_rows", rows)
+        for threads in (1, 3):
+            assert estimator._pair_sweep(evaluate_block, s, 2 if dominated else 1, threads)[:2] == (expected, ones)
 
 
 @pytest.mark.parametrize("threads", [1, 3])
-def test_pair_sweep_evaluates_each_distinct_pair_product_once(torus3_params, threads):
+def test_pair_sweep_evaluates_each_distinct_pair_product_once(monkeypatch, torus3_params, threads):
+    # 404 rows a chunk splits the 512 keys in two, which go to two threads at threads=3
+    monkeypatch.setattr(estimator, "block_rows", lambda _: 404)
     seen = []
     fn = ResolventTraceFunction(torus3_params)
 
@@ -301,10 +307,35 @@ def test_pair_sweep_submits_one_task_per_extra_block(monkeypatch, torus3_params)
     submitted.clear()
     estimator._pair_sweep(RecordingResolvent(torus3_params).evaluate_block_with_g, s, 1, 1)
     assert submitted == []
-    # the 29 distinct of the 36 pair products, all-ones among them, in one chunk: block_rows(9) holds them all
+    # the 29 distinct of the 36 pair products, all-ones among them, in one chunk: block_rows(9) = 1,618 holds them all
     distinct = {(s[i] * s[j]).tobytes() for i in range(9) for j in range(i + 1, 9)}
     assert len(distinct) == 29 and all_ones(9).tobytes() in distinct
     assert callers == [(threading.get_ident(), 29)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_key_sweep_takes_one_kernel_call_per_block(threads):
+    # the bench's spectral design: 60 samples at n = 36 give 1,770 distinct pair products and all-ones,
+    # 1,771 keys that go out in ceil(1,771 / 101) = 18 blocks, seventeen full and one of 54 rows
+    keys, _ = estimator._pair_multiset(sample(60, 36, 1))
+    assert len(keys) == 1771 and block_rows(36) == 101
+    sizes = []
+
+    def kernel(table):
+        sizes.append(len(table))
+        return (table.sum(axis=1, dtype=np.float64),)
+
+    (values,) = estimator._evaluate_keys(kernel, keys, 36, threads)
+    assert len(sizes) == -(-len(keys) // block_rows(36)) == 18
+    assert sorted(sizes) == [54] + [101] * 17
+    # in key order across threads: a row sums to n minus twice its -1 entries
+    assert values.tolist() == (36 - 2 * np.unpackbits(keys.view(np.uint8), axis=1).sum(axis=1, dtype=np.int64)).tolist()
+    # every stacked (k, n, n) float64 block stays within 1 MiB, or is the one row an n past 362 needs,
+    # and one row more would pass 1 MiB
+    for n in range(1, 401):
+        rows = block_rows(n)
+        assert rows * n * n * 8 <= 1 << 20 or rows == 1, n
+        assert (rows + 1) * n * n * 8 > 1 << 20, n
 
 
 def test_sandwich_small_sweep(torus3_params, torus3_exact):

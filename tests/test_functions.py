@@ -518,7 +518,7 @@ def test_block_matches_single_vectors_for_any_split(monkeypatch, side):
         assert np.array_equal(np.concatenate([g for _, g in parts]), g_single)
         assert np.array_equal(np.concatenate([fn.evaluate_block(table[at:at + size]) for at in range(0, len(table), size)]), f_single)
     # a full block of the oracle's size at n = 16 and a remainder, against one row per call
-    wide, chunk = _pair_table(17, n, 6), block_rows(16)
+    wide, chunk = _pair_table(33, n, 6), block_rows(16)
     assert len(wide) > chunk
     parts = [fn.evaluate_block_with_g(wide[at:at + chunk]) for at in range(0, len(wide), chunk)]
     per_row = [fn.evaluate_with_g(eps) for eps in wide]
