@@ -58,6 +58,9 @@ ORACLE_TOL = 1e-10
 # --delta needs --yes once the p it picks implies more pair evaluations than this
 PAIR_BUDGET_WARN = 10**6
 
+# the most --threads accepts: the sweep starts one OS thread per block past the first, up to the count
+MAX_THREADS = 256
+
 
 def _parse_seed(text: str) -> int:
     try:
@@ -263,8 +266,8 @@ def _thread_count(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"thread count {text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"thread count must be at least 1, got {value}")
+    if not 1 <= value <= MAX_THREADS:
+        raise argparse.ArgumentTypeError(f"thread count must be at least 1 and at most {MAX_THREADS}, got {value}")
     return value
 
 
@@ -278,7 +281,7 @@ def _add_run_flags(sub: argparse.ArgumentParser, with_samples: bool):
         group.add_argument("--p", type=int, help="sample count")
         group.add_argument("--delta", type=float, help="picks the least p whose a-priori 90%% Markov width 10c/(2p), c = 2*lambda/gamma^2, is below DELTA")
         sub.add_argument("--seed", type=_parse_seed, required=True, help="decimal or 0x-hex, in [0, 2^64)")
-        sub.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1, help="threads for the pair sweep, the calling thread included")
+        sub.add_argument("--threads", type=_thread_count, default=min(os.cpu_count() or 1, MAX_THREADS), help="threads for the pair sweep, the calling thread included")
         sub.add_argument("--yes", action="store_true", help="accept large delta-implied budgets")
 
 
@@ -297,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     repro = commands.add_parser("reproduce", help="fixed flagship run against the reference bracket", allow_abbrev=False)
     repro.add_argument("--out", type=_out_path, help="also write the JSON document to this path")
-    repro.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1)
+    repro.add_argument("--threads", type=_thread_count, default=min(os.cpu_count() or 1, MAX_THREADS))
     repro.set_defaults(
         func=cmd_reproduce,
         graph=REPRODUCE_GRAPH,

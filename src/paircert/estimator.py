@@ -30,7 +30,8 @@ digits, and math.fsum sums the terms v * 2^k, one per set digit k: scaling
 by a power of two is exact, so these terms have the exact sum of every
 pair's value, and fsum returns that sum exactly rounded. The weighted sums
 are therefore those over every pair bit for bit, and certificates are
-byte-stable under any evaluation order, thread count, or chunking.
+byte-stable under any evaluation order, thread count, or chunking. The
+oracle's mean is this one exact reduction, _weighted_sum, with unit counts.
 
 A small additive slack (NUMERICAL_SLACK) widens every reported interval
 to absorb floating-point error in the evaluations themselves; the
@@ -164,23 +165,14 @@ class DominatedCertificate:
         }
 
 
-def _exact_sum(values):
-    """Order-independent reduction of a sequence or array of scalars:
-    exactly rounded, complex-aware."""
-    values = np.asarray(values)
-    if np.iscomplexobj(values):
-        return complex(math.fsum(values.real), math.fsum(values.imag))
-    return math.fsum(values)
-
-
 def _weighted_sum(values: np.ndarray, counts: np.ndarray):
-    """_exact_sum of counts[i] copies of values[i], from one term values[i] * 2^k
-    for each binary digit k set in counts[i]: O(len(values) * log(max count))
-    terms, whose exact sum is that of the copies. A complex value's parts are
-    scaled apart, since a complex-by-real product can flip the sign of a zero
-    part. A term that overflows raises OverflowError, as fsum does when a
-    running sum overflows; with values of one sign both raise exactly when the
-    weighted sum leaves the float range."""
+    """Exactly rounded sum of counts[i] copies of values[i]: math.fsum of one
+    term values[i] * 2^k for each binary digit k set in counts[i], O(len(values)
+    * log(max count)) terms whose exact sum is that of the copies. A complex
+    value's parts are scaled apart, since a complex-by-real product can flip
+    the sign of a zero part. A term that overflows raises OverflowError, as
+    fsum does when a running sum overflows; with values of one sign both raise
+    exactly when the weighted sum leaves the float range."""
     if np.iscomplexobj(values):
         return complex(_weighted_sum(values.real, counts), _weighted_sum(values.imag, counts))
     index, digit = np.nonzero(counts[:, None] >> np.arange(int(counts.max(initial=0)).bit_length()) & 1)

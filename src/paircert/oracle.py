@@ -9,18 +9,20 @@ Conventions, fixed so every transform is reproducible:
 
 With values listed in that order, one unnormalized Walsh-Hadamard
 transform maps coefficients to values, and the same transform divided
-by 2^n maps values to coefficients.
+by 2^n maps values to coefficients. Coefficient 0, the mean, is instead
+the pair sweep's exact estimator._weighted_sum with unit counts, by 2^-n.
 
 `paircert oracle` and the tests use it up to n = ENUMERATION_LIMIT.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import _evaluate_keys, _exact_sum
+from .estimator import _evaluate_keys, _weighted_sum
 from .functions import BernoulliFunction
 
 # the largest n enumerated: 2^16 evaluations, as `paircert oracle` on torus:4
@@ -89,13 +91,13 @@ def _enumerate_values(fn: BernoulliFunction) -> np.ndarray:
 
 
 def _exact_mean(values: np.ndarray) -> float | complex:
-    total = _exact_sum(values)
-    scale = 1.0 / values.shape[0]
+    total = _weighted_sum(values, np.ones(values.shape[0], dtype=np.int64))
+    shift = 1 - values.shape[0].bit_length()  # -n, as there are 2^n values
     # real and imaginary parts scaled apart: complex * float would also
     # multiply by an imaginary zero, which can flip the sign of a zero part
     if isinstance(total, complex):
-        return complex(total.real * scale, total.imag * scale)
-    return total * scale
+        return complex(math.ldexp(total.real, shift), math.ldexp(total.imag, shift))
+    return math.ldexp(total, shift)
 
 
 def exact_expectation(fn: BernoulliFunction) -> float | complex:

@@ -305,7 +305,9 @@ def test_delta_with_h_exit2_before_quadrature(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "command", [["certify", "--graph", "torus:3", "--lambda", "1", "--gamma", "1", "--p", "3", "--seed", "1"], ["reproduce"]]
 )
-@pytest.mark.parametrize("threads, fragment", [("0", "at least 1"), ("-2", "at least 1"), ("1.5", "not an integer")], ids=["0", "-2", "1.5"])
+@pytest.mark.parametrize(
+    "threads, fragment", [("0", "at least 1"), ("-2", "at least 1"), ("1.5", "not an integer"), ("100000", "at most")], ids=["0", "-2", "1.5", "100000"]
+)
 def test_bad_thread_count_exit2(capsys, command, threads, fragment):
     with pytest.raises(SystemExit) as excinfo:
         main(command + ["--threads", threads])

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,7 +85,7 @@ def test_round_trip_resolvent(torus3_params):
 def test_a0_equals_exact_expectation(torus3_params):
     spec = walsh_spectrum(ResolventTraceFunction(torus3_params))
     exact = exact_expectation(ResolventTraceFunction(torus3_params))
-    assert abs(spec.coefficients[0] - exact) <= 1e-12
+    assert float(spec.coefficients[0]).hex() == exact.hex()
 
 
 def test_g_spectrum_is_size_weighted(torus3_params):
@@ -184,6 +186,22 @@ def test_complex_valued_function():
         check_domination(bound, spec, 1e-12)
     dominated = check_domination(spec, walsh_spectrum(LambdaFunction(2, lambda e: 1.0 + 0.5 * float(e[0]))), 1e-12)
     assert not dominated.ok  # |i| = 1 > 0.5 at mask 0b01
+
+
+def _cancelling(e):
+    # 1e16 swamps the other terms, so a running float sum loses them where an exact one does not
+    return 1e16 * e[0] + 3.0 * (e[1] > 0) + 0.1 * e[0] * e[-1]
+
+
+@pytest.mark.parametrize("n", [3, 6, 9])
+@pytest.mark.parametrize("func", [_cancelling, lambda e: complex(0.5 * e[-1], _cancelling(e))], ids=["real", "complex"])
+def test_mean_is_the_exact_mean_rounded_once(n, func):
+    fn = LambdaFunction(n, func)
+    values = _enumerate_values(fn).tolist()
+    parts = [[v.real for v in values], [v.imag for v in values]] if isinstance(values[0], complex) else [values]
+    exact = [float(sum(map(Fraction, part)) / len(part)).hex() for part in parts]
+    for mean in (exact_expectation(fn), walsh_spectrum(fn).coefficients[0].item()):
+        assert ([mean.real.hex(), mean.imag.hex()] if isinstance(mean, complex) else [mean.hex()]) == exact
 
 
 def test_spectrum_immutable(torus3_params):
