@@ -34,15 +34,23 @@ eigvalsh (POWER_SUM_BUDGET); any other h takes eigvalsh. With base |Lap|
 and -lam it is B_eps = lam*D_eps + |Lap|, whose power sums with weights
 |c_k| make the walk majorant that dominates such an h-trace; the same
 power chain gives the diagonals its flip half-sum needs, so it factors
-nothing. With base (lam+gamma)I - Lap the resolvent leaves M^-1 in it.
-dpotrf and dpotri from numpy's bundled OpenBLAS, called through ctypes
-with the GIL released, invert each matrix in place; LAPACK reads a
-C-ordered matrix as its transpose, so its lower triangle is the row's
-upper one, T. A numpy build without them writes M^-1 = X^T X over the
-stack, X = L^-1 for M = L L^T. Then f = Tr M^-1 / n, and one tail reads
-the diagonal, zeroes the other triangle, squares T in place and takes
-the column norms as colsum(T^2) + rowsum(T^2) - diag(T^2). One vector is
-the k = 1 case, so no value depends on the split.
+nothing.
+
+The resolvent up to n = ELIMINATION_LIMIT, the oracle's whole domain,
+factors a block by one elimination tree (`_eliminate`): rows that share
+their trailing signs share those eliminations, f is the trace gathered
+on the way down, and g reads M^-1 from Takahashi's recurrence over each
+row's pivots. Above it, with base (lam+gamma)I - Lap the resolvent
+leaves M^-1 in the stack: dpotrf and dpotri from numpy's bundled
+OpenBLAS, called through ctypes with the GIL released, invert each
+matrix in place; LAPACK reads a C-ordered matrix as its transpose, so
+its lower triangle is the row's upper one, T. A numpy build without
+them writes M^-1 = X^T X over the stack, X = L^-1 for M = L L^T. Then
+f = Tr M^-1 / n, and the tail reads the diagonal, zeroes the other
+triangle, squares T in place and takes the column norms as
+colsum(T^2) + rowsum(T^2) - diag(T^2). Either kernel's g then takes the
+rank-one denominators. One vector is the k = 1 case of either kernel,
+so no value depends on the split.
 """
 
 from __future__ import annotations
@@ -70,6 +78,14 @@ BLOCK_ENTRIES = 1 << 17
 # sums measured faster up to m = 9 at n = 36, 5 or 6 at n = 100, 3 at n = 225 and 2 at n = 400.
 POWER_SUM_BUDGET = 2500
 
+# The resolvent takes the elimination tree (_eliminate) up to this n, oracle.ENUMERATION_LIMIT, and the
+# binding above it. Per row, one BLAS thread, in blocks of block_rows(n): the tree's f took 1.5 us
+# against the binding's 4.4 us on the sorted keys of a pair sweep at n = 16 (p = 200), and 0.9 us on
+# the oracle's masks; its (f, g) took 5.0 against 5.6 us there. The tree's cost grows with the rows'
+# distinct prefixes: on random rows at n = 16 its f took 5.2 us against 4.4 us, and at n = 25 3.1x
+# the binding's, while at n = 20 its (f, g) lost on the pair sweep's keys too (8.8 against 7.3 us).
+ELIMINATION_LIMIT = 16
+
 
 def _load_openblas() -> ctypes.CDLL | None:
     """numpy's bundled OpenBLAS (ILP64, `scipy_` prefix, `64_` suffix) with dpotrf,
@@ -88,12 +104,13 @@ def _load_openblas() -> ctypes.CDLL | None:
     return lib
 
 
-# None: every n takes the stacked numpy kernel
+# None: every n above ELIMINATION_LIMIT takes the stacked numpy kernel
 _openblas = _load_openblas()
 
 
 def pin_one_blas_thread() -> bool:
-    """Pin the bundled OpenBLAS to one thread; False when no binding is in use and the stacked numpy kernel runs."""
+    """Pin the bundled OpenBLAS to one thread; False when no binding is in use and the stacked numpy kernel
+    runs above ELIMINATION_LIMIT."""
     if _openblas is not None:
         _openblas.scipy_openblas_set_num_threads64_(1)
     return _openblas is not None
@@ -130,6 +147,18 @@ class ResolventParams:
     runs to completion in floating point, in any order of its inner products, when that exceeds
     n*g/(1 - g) with g = (n+1)u/(1 - (n+1)u). The test runs in exact rationals. When -Lap is not
     positive semidefinite it proves nothing, and dpotrf may still raise FactorizationError.
+
+    Up to n = ELIMINATION_LIMIT the elimination tree factors M(eps) = L D L^T in outer-product form
+    instead, and the same test covers it. Its assembled B = (lam+gamma)I - Lap has the diagonal
+    fl(fl(lam+gamma) - Lap_ii), two roundings, within delta. The shift -lam*eps_j is exact and
+    enters pivot j's running sum as one more summand, after the products l_jk*u_kj of the earlier
+    columns, u_kj the Schur complement's entry and l_jk = fl(u_kj/d_k); each product carries that
+    division's rounding too. By Higham's Lemma 8.4, pivot j, with j-1 earlier columns, has j
+    summands beside B_jj, so its perturbation is within gamma_j, and gamma_(j+1) with the division;
+    an entry below the diagonal is within gamma_n likewise. So B - lam*D_eps + dA = L D L^T with
+    |dA| <= gamma_(n+1) |L| D |L^T|: the shift and the division add two roundings to a pivot as the
+    square root adds two to Cholesky's diagonal, the constant is Cholesky's, and Demmel's argument
+    holds with R = D^(1/2) L^T. The refusal needs no gamma_(n+2), and none of its boundaries moves.
     """
 
     lam: float
@@ -253,14 +282,91 @@ class _BlockKernel(BernoulliFunction):
         return self._block(table, with_g=True)
 
 
+def _check_length(table: np.ndarray, n: int):
+    if table.shape[-1] != n:
+        raise ValueError(f"sign vector has length {table.shape[-1]}, function dimension is {n}")
+
+
 def _operators(base: np.ndarray, lam: float, table: np.ndarray) -> np.ndarray:
     """C-contiguous float64 (k, n, n) stack of base - lam*diag(eps), one matrix per row of the sign table."""
     k, n = len(table), len(base)
-    if table.shape[-1] != n:
-        raise ValueError(f"sign vector has length {table.shape[-1]}, function dimension is {n}")
+    _check_length(table, n)
     m = np.broadcast_to(base, (k, n, n)).copy()  # not astype: the ctypes loop needs each matrix contiguous
     m.reshape(k, n * n)[:, :: n + 1] -= lam * table
     return m
+
+
+def _eliminate(base: np.ndarray, lam: float, table: np.ndarray, with_g: bool):
+    """(Tr M^-1, then the diagonal and the squared column norms of M^-1, or None for both without g)
+    over the rows of a sign table, M = base - lam*diag(eps), by one elimination tree.
+
+    The tree eliminates coordinate n-1 first, so rows that share their trailing signs share those
+    eliminations: one sort of the rows by their signs, read from coordinate n-1 down, maps each row
+    to its node at every depth, and equal rows share a leaf. A node holds the Schur complement S of
+    the eliminated coordinates with the shifts of the pending ones left out, beside the pending rows
+    of L^-1 for M = L D L^T, and the trace c so far. Its child for sign e of the next coordinate
+    takes the pivot a = S_00 - lam*e, q = S[1:, 0]/a and S <- S[1:, 1:] - S[1:, 0] q^T; row 0 of
+    L^-1 is then final, x, so c <- c + |x|^2/a, and each pending row i takes -q_i x. The Gram matrix
+    of the pending rows is the trace weight W that makes c + Tr(W S^-1) = Tr M^-1 at every depth.
+    The flip half-sum needs all of M^-1: from the last pivot back, Takahashi's recurrence takes
+    Z_j = [[1/a + q^T v, -v^T], [-v, Z_j+1]], v = Z_j+1 q, and Z_0 = M^-1. Every value comes
+    from its own row's operations in a fixed order, so it has the same bits in any block.
+    """
+    k, n = len(table), len(base)
+    _check_length(table, n)
+    if not (np.abs(table) == 1).all():  # rows share a node by their signs alone
+        raise ValueError("sign vector entries must be -1 or +1")
+    if k > 1:
+        key = (table > 0).astype(np.int64) @ (1 << np.arange(n))  # coordinate n-1 the leading bit
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        # sorted row i first differs from row i-1 at depth n - bit length of their keys' XOR
+        split = n - np.frexp(key[1:] ^ key[:-1])[1]
+        fresh = np.ones((n + 1, k), dtype=bool)  # fresh[d, i]: sorted row i opens a node of depth d
+        fresh[:, 1:] = split < np.arange(n + 1)[:, None]
+        node = np.cumsum(fresh, axis=1) - 1  # node[d, i]: the node of depth d that sorted row i is in
+        table = table[order]
+    # one node: S^T beside the pending rows of L^-1, coordinate n-1 first; S^T, so that S's
+    # column 0, which q is made of, is the row that the update subtracts
+    a = np.concatenate([base[::-1, ::-1], np.eye(n)], axis=1)[None]
+    trace, starts, shifts, steps = np.zeros(1), np.zeros(1, dtype=np.intp), lam * table[:1, ::-1], []
+    # a pivot that is not positive raises below, after the sweep; errstate quiets the infs and nans it leaves
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for d in range(n):
+            if k > 1 and node[d + 1, -1] > node[d, -1]:  # a node branches
+                starts = np.flatnonzero(fresh[d + 1])
+                parent = node[d, starts]
+                a, trace, shifts = a[parent], trace[parent], lam * table[starts, ::-1]
+            row = a[:, 0, 1:]
+            pivot = a[:, 0, 0] - shifts[:, d]
+            q = row[:, : n - d - 1] / pivot[:, None]
+            trace = trace + np.square(row[:, n - d - 1:]).sum(axis=1) / pivot
+            a = a[:, 1:, 1:] - q[:, :, None] * row[:, None, :]
+            steps.append((pivot, q))
+    pivots = np.concatenate([pivot for pivot, _ in steps])
+    if not (pivots > 0.0).all():
+        bad = pivots[~(pivots > 0.0)][0]
+        raise FactorizationError(f"elimination pivot {bad!r} is not positive; matrix is not positive definite")
+    leaf = np.zeros(1, dtype=np.intp)
+    if k > 1:
+        leaf = np.empty(k, dtype=np.intp)
+        leaf[order] = node[n]
+    if not with_g:
+        return trace[leaf], None, None
+    z = np.empty((len(starts), n, n))
+    for d in range(n - 1, -1, -1):
+        pivot, q = steps[d]
+        if len(pivot) < len(starts):
+            ancestor = node[d + 1, starts]
+            pivot, q = pivot[ancestor], q[ancestor]
+        v = np.matmul(z[:, d + 1:, d + 1:], q[:, :, None])[:, :, 0]
+        z[:, d, d] = 1.0 / pivot + (q * v).sum(axis=1)
+        np.negative(v, out=z[:, d + 1:, d])
+        z[:, d, d + 1:] = z[:, d + 1:, d]
+    # back to coordinate order; z is symmetric, so its row sums are the column sums
+    diagonal = np.diagonal(z, axis1=1, axis2=2)[:, ::-1].copy()
+    col_sq = np.square(z, out=z).sum(axis=2)[:, ::-1]
+    return trace[leaf], diagonal[leaf], col_sq[leaf]
 
 
 def naive_g(fn: BernoulliFunction, eps: np.ndarray):
@@ -285,10 +391,26 @@ class ResolventTraceFunction(_BlockKernel):
 
     def _block(self, table: np.ndarray, with_g: bool) -> tuple[np.ndarray, np.ndarray | None]:
         """(f, g or None) over the rows of a sign table. No pivoted fallback: a
-        failed Cholesky means the positivity guarantee was violated upstream."""
+        failed factorization means the positivity guarantee was violated upstream."""
         table = np.asarray(table)
-        lam, n, k = self.params.lam, self.n, len(table)
-        m = _operators(self._base, lam, table)
+        lam, n = self.params.lam, self.n
+        kernel = _eliminate if n <= ELIMINATION_LIMIT else self._invert
+        trace, diagonal, col_sq = kernel(self._base, lam, table, with_g)
+        self._factorizations.add(len(table))
+        f = trace / n
+        if not with_g:  # scale comes last, on f and on the finished g, so scale=1.0 moves no bit
+            return self.scale * f, None
+        denom = 1.0 + 2.0 * lam * table * diagonal
+        if np.any(denom <= 0.0):
+            # impossible for a valid SPD pair; flags a corrupted inverse
+            raise FactorizationError("rank-one update denominator is not positive")
+        return self.scale * f, self.scale * ((lam / n) * (table * col_sq / denom).sum(axis=1))
+
+    def _invert(self, base: np.ndarray, lam: float, table: np.ndarray, with_g: bool):
+        """_eliminate's three arrays from one dpotrf and dpotri per matrix, or from the stacked numpy
+        kernel without the binding."""
+        n, k = self.n, len(table)
+        m = _operators(base, lam, table)
         if _openblas is None:
             try:
                 x = np.linalg.inv(np.linalg.cholesky(m))  # X = L^-1 for M = L L^T
@@ -305,20 +427,15 @@ class ResolventTraceFunction(_BlockKernel):
                 _openblas.scipy_dpotri_64_(b"L", order, address, order, info, 1)
                 if info.value != 0:
                     raise FactorizationError(f"inverse from Cholesky factor failed (dpotri info={info.value})")
-        self._factorizations.add(k)
-        f = np.trace(m, axis1=1, axis2=2) / n
-        if not with_g:  # scale comes last, on f and on the finished g, so scale=1.0 moves no bit
-            return self.scale * f, None
-        denom = 1.0 + 2.0 * lam * table * np.diagonal(m, axis1=1, axis2=2)
-        if np.any(denom <= 0.0):
-            # impossible for a valid SPD pair; flags a corrupted inverse
-            raise FactorizationError("rank-one update denominator is not positive")
-        # in place, once denom has read the diagonal: row r of M^-1 is row r of T from the diagonal
+        trace = np.trace(m, axis1=1, axis2=2)
+        if not with_g:
+            return trace, None, None
+        diagonal = np.diagonal(m, axis1=1, axis2=2).copy()
+        # in place, once the diagonal is read: row r of M^-1 is row r of T from the diagonal
         # on and column r of T above it, so (M^-2)_rr = colsum + rowsum - diag of T^2
         np.multiply(m, self._upper, out=m)
         np.square(m, out=m)
-        col_sq = m.sum(axis=1) + m.sum(axis=2) - np.diagonal(m, axis1=1, axis2=2)
-        return self.scale * f, self.scale * ((lam / n) * (table * col_sq / denom).sum(axis=1))
+        return trace, diagonal, m.sum(axis=1) + m.sum(axis=2) - np.diagonal(m, axis1=1, axis2=2)
 
     @property
     def bounded_difference_constant(self) -> float:

@@ -583,7 +583,8 @@ def test_numerical_breakdown_exit1(capsys, monkeypatch):
 @pytest.mark.parametrize("fault, message", [("info", "dpotri info=1"), ("diagonal", "denominator is not positive")], ids=["dpotri-info", "negative-diagonal"])
 def test_inverse_breakdown_exit1(capsys, monkeypatch, fault, message):
     # dpotri reports a failure, or returns an inverse whose diagonal makes a flip denominator
-    # negative: a numerical breakdown exits 1 with nothing on stdout, never 2
+    # negative: a numerical breakdown exits 1 with nothing on stdout, never 2. torus:5 (n = 25),
+    # since n <= 16 takes the elimination tree and no binding
     real = functions._openblas
     if real is None:
         pytest.skip("this numpy does not export the bundled dpotrf and dpotri")
@@ -604,10 +605,26 @@ def test_inverse_breakdown_exit1(capsys, monkeypatch, fault, message):
         scipy_openblas_set_num_threads64_=real.scipy_openblas_set_num_threads64_,
     )
     monkeypatch.setattr(functions, "_openblas", binding)
-    code, out, err = run_cli(capsys, ["certify", "--graph", "torus:3", "--lambda", "1", "--gamma", "1", "--p", "5", "--seed", "7"])
+    code, out, err = run_cli(capsys, ["certify", "--graph", "torus:5", "--lambda", "1", "--gamma", "1", "--p", "5", "--seed", "7"])
     assert code == 1
     assert out == ""
     assert message in err.splitlines()[-1]
+
+
+def test_elimination_pivot_breakdown_exit1(capsys, monkeypatch):
+    # at n <= 16 the elimination tree checks its pivots: one that is not positive exits 1 with one
+    # error line and nothing on stdout
+    class IndefiniteResolvent(cli.ResolventTraceFunction):
+        def __init__(self, params, scale=1.0):
+            super().__init__(params, scale)
+            self._base = self._base - 10.0 * np.eye(self.n)
+
+    monkeypatch.setattr(cli, "ResolventTraceFunction", IndefiniteResolvent)
+    code, out, err = run_cli(capsys, ["certify", "--graph", "torus:3", "--lambda", "1", "--gamma", "1", "--p", "5", "--seed", "7"])
+    assert code == 1
+    assert out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "pivot" in errors[0]
 
 
 def test_oracle_spectral(capsys):

@@ -33,7 +33,7 @@ from paircert.functions import (
     naive_g,
 )
 from paircert.graph import build_torus_cayley, from_edge_list, laplacian
-from paircert.oracle import check_domination, exact_expectation, walsh_spectrum
+from paircert.oracle import ENUMERATION_LIMIT, check_domination, exact_expectation, walsh_spectrum
 from paircert.sampling import all_ones, flip, sample
 
 from conftest import (
@@ -578,18 +578,88 @@ def _lapack_reference(params: ResolventParams, eps: np.ndarray, inverse_lower=_s
 
 @pytest.mark.parametrize("side", [3, 4, 5, 6])
 def test_block_kernel_accuracy_against_lapack(side):
-    # within set tolerances of scipy's LAPACK, and the same bits as the binding on one matrix
-    # (scipy bundles another OpenBLAS build, which may move last bits)
+    # within set tolerances of scipy's LAPACK at every n, and above ELIMINATION_LIMIT, where the
+    # binding runs, the same bits as the binding on one matrix (scipy bundles another OpenBLAS
+    # build, which may move last bits)
     n = side * side
     for lam, gamma in ((1.0, 1.0), (1.5, 0.75), (4.0, 0.5)):
         params = ResolventParams(lam, gamma, laplacian(build_torus_cayley(side)))
         table = _pair_table(10, n, 17)
         f, g = ResolventTraceFunction(params).evaluate_block_with_g(table)
         reference = np.array([_lapack_reference(params, eps) for eps in table])
-        same_binding = np.array([_lapack_reference(params, eps, _binding_lower) for eps in table])
-        assert f.tolist() == same_binding[:, 0].tolist() and g.tolist() == same_binding[:, 1].tolist()
+        if n > functions.ELIMINATION_LIMIT:
+            same_binding = np.array([_lapack_reference(params, eps, _binding_lower) for eps in table])
+            assert f.tolist() == same_binding[:, 0].tolist() and g.tolist() == same_binding[:, 1].tolist()
         np.testing.assert_allclose(f, reference[:, 0], rtol=1e-14, atol=0)
         np.testing.assert_allclose(g, reference[:, 1], rtol=1e-12, atol=0)
+
+
+def _resolvent_mp(params: ResolventParams, eps: np.ndarray) -> tuple:
+    """(f, g) at the working precision of mpmath, from an explicit inverse of M(eps)."""
+    n, lam = params.n, mpmath.mpf(params.lam)
+    m = mpmath.matrix(n, n)
+    for i in range(n):
+        for j in range(n):
+            m[i, j] = -mpmath.mpf(params.laplacian[i, j])
+        m[i, i] += lam + mpmath.mpf(params.gamma) - lam * int(eps[i])
+    inverse = m**-1
+    f = mpmath.fsum(inverse[r, r] for r in range(n)) / n
+    flips = (int(eps[r]) * mpmath.fsum(inverse[i, r] ** 2 for i in range(n)) / (1 + 2 * lam * int(eps[r]) * inverse[r, r]) for r in range(n))
+    return f, lam * mpmath.fsum(flips) / n
+
+
+@pytest.mark.parametrize("side", [3, 4])
+def test_elimination_tree_matches_40_digit_reference(side):
+    # at the tolerances the binding meets against scipy's LAPACK
+    for lam, gamma in ((1.0, 1.0), (1.3, 1.0), (4.0, 0.5)):
+        params = ResolventParams(lam, gamma, laplacian(build_torus_cayley(side)))
+        table = sample(4, params.n, 3)
+        f, g = ResolventTraceFunction(params).evaluate_block_with_g(table)
+        with mpmath.workdps(40):
+            reference = np.array([[float(v) for v in _resolvent_mp(params, eps)] for eps in table])
+        np.testing.assert_allclose(f, reference[:, 0], rtol=1e-14, atol=0)
+        np.testing.assert_allclose(g, reference[:, 1], rtol=1e-12, atol=0)
+
+
+def test_elimination_tree_bits_for_any_rows():
+    # all 2^9 rows, shuffled, and with duplicates, each against its single-row values
+    fn = ResolventTraceFunction(ResolventParams(1.5, 0.75, laplacian(build_torus_cayley(3))))
+    every = 1 - 2 * ((np.arange(512)[:, None] >> np.arange(9)) & 1).astype(np.int8)
+    single = np.array([fn.evaluate_with_g(eps) for eps in every])
+    rows = np.random.default_rng(4).permutation(512)
+    for index in (np.arange(512), rows, np.concatenate([rows[:40], rows[:40], rows[7:9], [5, 5, 5]])):
+        f, g = fn.evaluate_block_with_g(every[index])
+        assert f.tolist() == single[index, 0].tolist() and g.tolist() == single[index, 1].tolist()
+        assert fn.evaluate_block(every[index]).tolist() == single[index, 0].tolist()
+
+
+def test_elimination_tree_refuses_non_signs():
+    # rows share a node by their signs, so any other entry would take another row's shift
+    fn = ResolventTraceFunction(ResolventParams(1.0, 1.0, laplacian(build_torus_cayley(3))))
+    table = np.ones((3, 9))
+    table[1, 4] = 0.5
+    for rows in (table, table[1:2]):
+        with pytest.raises(ValueError, match="entries"):
+            fn.evaluate_block(rows)
+
+
+@pytest.mark.parametrize("entry", [-3.0, np.nan], ids=["negative", "nan"])
+def test_elimination_pivot_failure_raises(entry):
+    # a pivot that is not positive, or nan, in one row of a block is a FactorizationError
+    fn = ResolventTraceFunction(ResolventParams(1.0, 1.0, laplacian(build_torus_cayley(3))))
+    base = fn._base.copy()
+    base[4, 4] = entry
+    fn._base = base
+    table = _pair_table(6, 9, 2)
+    for method in (fn.evaluate_block, fn.evaluate_block_with_g):
+        with pytest.raises(FactorizationError, match="pivot"):
+            method(table)
+        with pytest.raises(FactorizationError, match="pivot"):
+            method(table[:1])
+
+
+def test_elimination_limit_covers_the_oracle():
+    assert functions.ELIMINATION_LIMIT >= ENUMERATION_LIMIT
 
 
 def _large_params(n: int) -> ResolventParams:
@@ -599,9 +669,10 @@ def _large_params(n: int) -> ResolventParams:
     return ResolventParams(1.5, 0.75, laplacian(graph))
 
 
-@pytest.mark.parametrize("n", [9, 16, 17, 25, 36, 225])
+@pytest.mark.parametrize("n", [17, 25, 36, 225])
 def test_binding_matches_fresh_fortran_reference(n):
-    # an int-width or stride mistake in the ctypes call corrupts memory silently: bit-equality is the gate
+    # an int-width or stride mistake in the ctypes call corrupts memory silently: bit-equality is the
+    # gate. The binding runs above ELIMINATION_LIMIT only, so 17 is the smallest n that reaches it
     params = _large_params(n)
     table = _pair_table(6 if n < 225 else 3, n, n)
     f, g = ResolventTraceFunction(params).evaluate_block_with_g(table)
@@ -623,7 +694,8 @@ def test_binding_reports_positive_info():
 
 @pytest.mark.parametrize("n", [9, 16, 25, 36, 225])
 def test_forced_fallback_matches_binding(monkeypatch, n):
-    # a numpy without the bundled symbols takes the stacked kernel at every n
+    # a numpy without the bundled symbols takes the stacked kernel above ELIMINATION_LIMIT; at
+    # n = 9 and 16 both sides take the elimination tree, so those cases do not reach the fallback
     params = _large_params(n)
     table = _pair_table(5, n, 4)
     f, g = ResolventTraceFunction(params).evaluate_block_with_g(table)
