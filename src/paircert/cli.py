@@ -26,6 +26,8 @@ import os
 import sys
 import timeit
 
+import numpy as np
+
 from . import functions
 from .estimator import (
     SCHEMA_VERSION,
@@ -33,6 +35,7 @@ from .estimator import (
     certify,
     certify_dominated,
     choose_p,
+    unpack_keys,
 )
 from .functions import (
     AnalyticFunction,
@@ -41,12 +44,11 @@ from .functions import (
     QuadratureError,
     ResolventParams,
     ResolventTraceFunction,
-    block_rows,
     dominating_resolvent_scale,
 )
 from .graph import Graph, build_torus_cayley, from_edge_list, laplacian
 from .oracle import check_domination, check_nonnegative, walsh_spectrum
-from .sampling import MAX_SIGNS, all_ones
+from .sampling import MAX_SIGNS
 
 REPRODUCE_GRAPH = "torus:15"
 REPRODUCE_P = 30
@@ -124,8 +126,9 @@ def _certify_resolvent(args: argparse.Namespace, params: ResolventParams):
         evaluations = p * (p - 1) // 2 + 1
         # the sweep factors each distinct key once: all-ones and the distinct pair products, at most 2^n in all
         factored = min(evaluations, 2**fn.n)
-        # fastest of three calls on a block as the sweep forms them: a cold call or a lone row overstates the run
-        table = all_ones(fn.n)[None].repeat(min(block_rows(fn.n), factored), axis=0)
+        # fastest of three calls on a block as the sweep forms them: a cold call or a lone row overstates the
+        # run, and equal rows understate it, since the elimination tree folds them into one leaf
+        table = unpack_keys(np.arange(min(fn.block_size, factored), dtype="<u8")[:, None], fn.n)
         per_eval = min(timeit.repeat(lambda: fn.evaluate_block_with_g(table), number=1, repeat=3)) / len(table)
         estimate = per_eval * factored
         print(f"target width {args.delta}: p={p}, {evaluations} combined evaluations, of which at most {factored} rows are factored: estimated {estimate:.1f}s", file=sys.stderr)

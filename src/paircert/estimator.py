@@ -22,13 +22,16 @@ average over the same pairs, so one sweep evaluates f1 and g2 on each block.
 F and G depend on the pair products only as a multiset, and when
 p(p-1)/2 exceeds 2^n it repeats rows. Keyed by its -1 entries, all-ones
 is key 0; it and each distinct pair product are evaluated once, in chunks
-of block_rows(n), by the evaluator that also enumerates the oracle's 2^n
-keys, and each value is weighted by its count. The sweep counts the
-distinct keys it evaluates: that is its factorization counter. A value's
-bits do not depend on its chunk. Each count is split into its binary
-digits, and math.fsum sums the terms v * 2^k, one per set digit k: scaling
-by a power of two is exact, so these terms have the exact sum of every
-pair's value, and fsum returns that sum exactly rounded. The weighted sums
+of the swept functions' block size, by the evaluator that also enumerates
+the oracle's 2^n keys, and each value is weighted by its count. That size
+is `BernoulliFunction.block_size`: block_rows(n) for a stacked (k, n, n)
+kernel, and more rows for the resolvent's elimination tree, whose cost is
+mostly fixed work per block; a disc takes the smaller of its two. The
+sweep counts the distinct keys it evaluates: that is its factorization
+counter. A value's bits do not depend on its chunk. Each count is split
+into its binary digits, and math.fsum sums the terms v * 2^k, one per set
+digit k: scaling by a power of two is exact, so these terms have the exact
+sum of every pair's value, and fsum returns that sum exactly rounded. The weighted sums
 are therefore those over every pair bit for bit, and certificates are
 byte-stable under any evaluation order, thread count, or chunking. The
 oracle's mean is this one exact reduction, _weighted_sum, with unit counts.
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import BernoulliFunction, FactorizationError, block_rows
+from .functions import BernoulliFunction, FactorizationError
 from .sampling import sample
 
 SCHEMA_VERSION = 1
@@ -180,7 +183,9 @@ def _weighted_sum(values: np.ndarray, counts: np.ndarray):
         terms = np.ldexp(values[index], digit)
     if (np.isinf(terms) > np.isinf(values[index])).any():
         raise OverflowError("intermediate overflow in fsum")
-    return math.fsum(terms)
+    # the same floats in the same order: fsum reads them faster as Python floats, and a memoryview makes
+    # each one as it is read, where terms.tolist() would hold all of them at once
+    return math.fsum(memoryview(terms))
 
 
 # pair-product keys held between merges into the distinct set: the key memory stays within
@@ -228,18 +233,23 @@ def _pair_multiset(signs: np.ndarray):
     return keys, counts
 
 
-def _evaluate_keys(evaluate_block, keys: np.ndarray, n: int, threads: int):
+def unpack_keys(keys: np.ndarray, n: int) -> np.ndarray:
+    """The (k, n) int8 sign table of (k, words) keys packed as by _pair_multiset."""
+    return 1 - 2 * np.unpackbits(keys.view(np.uint8), axis=1, count=n, bitorder="little").view(np.int8)
+
+
+def _evaluate_keys(evaluate_block, keys: np.ndarray, n: int, threads: int, size: int):
     """Per-component arrays, in key order, of evaluate_block(table) -> tuple of
     arrays over the sign vectors of (k, words) keys packed as by _pair_multiset.
-    Chunk k of block_rows(n) keys, unpacked to int8 signs, goes to thread
-    k mod threads: the calling thread sweeps its own share and the pool the
-    others, so a call submits at most threads - 1 tasks, and none at threads=1.
+    Chunk k of `size` keys, the swept functions' block size, unpacked to int8
+    signs, goes to thread k mod threads: the calling thread sweeps its own
+    share and the pool the others, so a call submits at most threads - 1
+    tasks, and none at threads=1.
     """
-    size = block_rows(n)
     chunks = -(-len(keys) // size)
 
     def sweep(first):
-        return [evaluate_block(1 - 2 * np.unpackbits(keys[k * size:(k + 1) * size].view(np.uint8), axis=1, count=n, bitorder="little").view(np.int8)) for k in range(first, chunks, threads)]
+        return [evaluate_block(unpack_keys(keys[k * size:(k + 1) * size], n)) for k in range(first, chunks, threads)]
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         others = [pool.submit(sweep, t) for t in range(1, min(threads, chunks))]
@@ -247,22 +257,22 @@ def _evaluate_keys(evaluate_block, keys: np.ndarray, n: int, threads: int):
     return tuple(np.concatenate(parts) for parts in zip(*(swept[k % threads][k // threads] for k in range(chunks))))
 
 
-def _pair_sweep(evaluate_block, signs: np.ndarray, swept: int, threads: int, names=("f", "g")):
+def _pair_sweep(evaluate_block, signs: np.ndarray, swept: int, threads: int, size: int, names=("f", "g")):
     """Per-component pair-product averages of evaluate_block(table) -> tuple
     of arrays over the rows of a (p, n) sign table, the values at all-ones,
     and the counters of a sweep that takes `swept` functions on each row.
 
-    Each key of _pair_multiset, all-ones first, is evaluated once
-    (_evaluate_keys) and weighted by its count (_weighted_sum), so each
-    average is bit for bit the one over every pair. The sweep counts the
-    p(p-1)/2 + 1 evaluations the certificate averages and one factorization
-    per function swept for each distinct key it evaluates. A weighted sum
-    that leaves the float range raises OverflowError naming its component,
-    from `names`, and p.
+    Each key of _pair_multiset, all-ones first, is evaluated once, in
+    blocks of `size` (_evaluate_keys), and weighted by its count
+    (_weighted_sum), so each average is bit for bit the one over every
+    pair. The sweep counts the p(p-1)/2 + 1 evaluations the certificate
+    averages and one factorization per function swept for each distinct
+    key it evaluates. A weighted sum that leaves the float range raises
+    OverflowError naming its component, from `names`, and p.
     """
     p, n = signs.shape
     keys, counts = _pair_multiset(signs)
-    values = _evaluate_keys(evaluate_block, keys, n, threads)
+    values = _evaluate_keys(evaluate_block, keys, n, threads, size)
     ones = tuple(v[0].item() for v in values)
     square = float(p) * float(p)
 
@@ -315,7 +325,7 @@ def certify(fn: BernoulliFunction, p: int, seed: int, threads: int = 1) -> Certi
     checked here (it is a structural property of the function; see the
     oracle module for small-n verification).
     """
-    (f_bar, g_bar), (_, g_one), counters = _pair_sweep(fn.evaluate_block_with_g, sample(p, fn.n, seed), 1, threads)
+    (f_bar, g_bar), (_, g_one), counters = _pair_sweep(fn.evaluate_block_with_g, sample(p, fn.n, seed), 1, threads, fn.block_size)
     cert = Certificate(f_bar=f_bar, g_bar=g_bar, p=p, seed=seed, g_at_ones=g_one, c_bound=fn.bounded_difference_constant, counters=counters)
     if not cert.lower <= cert.upper:
         raise FactorizationError(f"numerical breakdown: g_bar={g_bar!r} leaves the empty interval [{cert.lower!r}, {cert.upper!r}]")
@@ -332,7 +342,7 @@ def certify_dominated(f1: BernoulliFunction, g2: BernoulliFunction, p: int, seed
     """
     if g2.n != f1.n:
         raise ValueError(f"g2 dimension {g2.n} does not match f1 dimension {f1.n}")
-    (center, radius), _, counters = _pair_sweep(lambda table: (f1.evaluate_block(table), g2.evaluate_block(table)), sample(p, f1.n, seed), 2, threads, ("f1", "g2"))
+    (center, radius), _, counters = _pair_sweep(lambda table: (f1.evaluate_block(table), g2.evaluate_block(table)), sample(p, f1.n, seed), 2, threads, min(f1.block_size, g2.block_size), ("f1", "g2"))
     radius = float(radius) + NUMERICAL_SLACK
     if not radius >= 0.0:
         raise FactorizationError(f"numerical breakdown: the computed radius {radius!r} is negative")

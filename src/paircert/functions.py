@@ -117,7 +117,9 @@ def pin_one_blas_thread() -> bool:
 
 
 def block_rows(n: int) -> int:
-    """Sign vectors per block: a stacked (k, n, n) float64 array holds at most BLOCK_ENTRIES, 1 MiB."""
+    """Sign vectors per block of a stacked kernel: a (k, n, n) float64 array holds at most BLOCK_ENTRIES,
+    1 MiB. It is every function's `block_size` but the elimination tree's, which keeps no such stack
+    on its f path and chunks Takahashi's stack by it."""
     return max(1, BLOCK_ENTRIES // (n * n))
 
 
@@ -258,6 +260,11 @@ class BernoulliFunction:
         return np.array([f for f, _ in pairs]), np.array([g for _, g in pairs])
 
     @property
+    def block_size(self) -> int:
+        """Sign vectors per call that a sweep passes to the block evaluators."""
+        return block_rows(self.n)
+
+    @property
     def bounded_difference_constant(self) -> float | None:
         """c with |f(eps) - f(flip(eps, r))| <= c/n, when known a priori."""
         return None
@@ -308,9 +315,14 @@ def _eliminate(base: np.ndarray, lam: float, table: np.ndarray, with_g: bool):
     takes the pivot a = S_00 - lam*e, q = S[1:, 0]/a and S <- S[1:, 1:] - S[1:, 0] q^T; row 0 of
     L^-1 is then final, x, so c <- c + |x|^2/a, and each pending row i takes -q_i x. The Gram matrix
     of the pending rows is the trace weight W that makes c + Tr(W S^-1) = Tr M^-1 at every depth.
-    The flip half-sum needs all of M^-1: from the last pivot back, Takahashi's recurrence takes
-    Z_j = [[1/a + q^T v, -v^T], [-v, Z_j+1]], v = Z_j+1 q, and Z_0 = M^-1. Every value comes
-    from its own row's operations in a fixed order, so it has the same bits in any block.
+    A level at which every node has both children, as each level past the shared top bits of a run
+    of consecutive masks does, builds them by broadcasting the node over its two signs, sign -1
+    first as the sort leaves them; a level at which some node has one child gathers each child's
+    parent. The flip half-sum needs all of M^-1: from the last pivot back, Takahashi's recurrence
+    takes Z_j = [[1/a + q^T v, -v^T], [-v, Z_j+1]], v = Z_j+1 q, and Z_0 = M^-1, over at most
+    block_rows(n) leaves at a time, so its (leaves, n, n) stack stays within BLOCK_ENTRIES in any
+    block. Every value comes from its own row's operations in a fixed order, so it has the same
+    bits in any block.
     """
     k, n = len(table), len(base)
     _check_length(table, n)
@@ -324,24 +336,32 @@ def _eliminate(base: np.ndarray, lam: float, table: np.ndarray, with_g: bool):
         split = n - np.frexp(key[1:] ^ key[:-1])[1]
         fresh = np.ones((n + 1, k), dtype=bool)  # fresh[d, i]: sorted row i opens a node of depth d
         fresh[:, 1:] = split < np.arange(n + 1)[:, None]
-        node = np.cumsum(fresh, axis=1) - 1  # node[d, i]: the node of depth d that sorted row i is in
+        node = np.cumsum(fresh, axis=1, dtype=np.int32)
+        node -= 1  # node[d, i]: the node of depth d that sorted row i is in
         table = table[order]
     # one node: S^T beside the pending rows of L^-1, coordinate n-1 first; S^T, so that S's
     # column 0, which q is made of, is the row that the update subtracts
     a = np.concatenate([base[::-1, ::-1], np.eye(n)], axis=1)[None]
-    trace, starts, shifts, steps = np.zeros(1), np.zeros(1, dtype=np.intp), lam * table[:1, ::-1], []
+    trace, starts, steps = np.zeros(1), np.zeros(1, dtype=np.intp), []
     # a pivot that is not positive raises below, after the sweep; errstate quiets the infs and nans it leaves
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for d in range(n):
+            children = 1
             if k > 1 and node[d + 1, -1] > node[d, -1]:  # a node branches
                 starts = np.flatnonzero(fresh[d + 1])
-                parent = node[d, starts]
-                a, trace, shifts = a[parent], trace[parent], lam * table[starts, ::-1]
+                if len(starts) == 2 * len(a):  # every node has both: node i's are 2i and 2i+1, sign -1 first
+                    children = 2
+                else:
+                    parent = node[d, starts]
+                    a, trace = a[parent], trace[parent]
+            # (node, child) axes; the shift of coordinate n-1-d read at each child's first row
             row = a[:, 0, 1:]
-            pivot = a[:, 0, 0] - shifts[:, d]
-            q = row[:, : n - d - 1] / pivot[:, None]
-            trace = trace + np.square(row[:, n - d - 1:]).sum(axis=1) / pivot
-            a = a[:, 1:, 1:] - q[:, :, None] * row[:, None, :]
+            pivot = a[:, 0, 0, None] - (lam * table[starts, n - 1 - d]).reshape(-1, children)
+            q = row[:, None, : n - d - 1] / pivot[:, :, None]
+            trace = (trace[:, None] + np.square(row[:, n - d - 1:]).sum(axis=1)[:, None] / pivot).reshape(-1)
+            update = np.multiply(q[:, :, :, None], row[:, None, None, :])
+            a = np.subtract(a[:, None, 1:, 1:], update, out=update).reshape(len(starts), *update.shape[2:])
+            pivot, q = pivot.reshape(-1), q.reshape(len(starts), n - d - 1)
             steps.append((pivot, q))
     pivots = np.concatenate([pivot for pivot, _ in steps])
     if not (pivots > 0.0).all():
@@ -353,19 +373,25 @@ def _eliminate(base: np.ndarray, lam: float, table: np.ndarray, with_g: bool):
         leaf[order] = node[n]
     if not with_g:
         return trace[leaf], None, None
-    z = np.empty((len(starts), n, n))
-    for d in range(n - 1, -1, -1):
-        pivot, q = steps[d]
-        if len(pivot) < len(starts):
-            ancestor = node[d + 1, starts]
-            pivot, q = pivot[ancestor], q[ancestor]
-        v = np.matmul(z[:, d + 1:, d + 1:], q[:, :, None])[:, :, 0]
-        z[:, d, d] = 1.0 / pivot + (q * v).sum(axis=1)
-        np.negative(v, out=z[:, d + 1:, d])
-        z[:, d, d + 1:] = z[:, d + 1:, d]
-    # back to coordinate order; z is symmetric, so its row sums are the column sums
-    diagonal = np.diagonal(z, axis1=1, axis2=2)[:, ::-1].copy()
-    col_sq = np.square(z, out=z).sum(axis=2)[:, ::-1]
+    leaves, size = len(starts), block_rows(n)
+    diagonal, col_sq = np.empty((leaves, n)), np.empty((leaves, n))
+    for first in range(0, leaves, size):
+        chunk = slice(first, first + size)
+        z = np.empty((len(starts[chunk]), n, n))
+        for d in range(n - 1, -1, -1):
+            pivot, q = steps[d]
+            if len(pivot) < leaves:
+                ancestor = node[d + 1, starts[chunk]]
+                pivot, q = pivot[ancestor], q[ancestor]
+            else:
+                pivot, q = pivot[chunk], q[chunk]
+            v = np.matmul(z[:, d + 1:, d + 1:], q[:, :, None])[:, :, 0]
+            z[:, d, d] = 1.0 / pivot + (q * v).sum(axis=1)
+            np.negative(v, out=z[:, d + 1:, d])
+            z[:, d, d + 1:] = z[:, d + 1:, d]
+        # back to coordinate order; z is symmetric, so its row sums are the column sums
+        diagonal[chunk] = np.diagonal(z, axis1=1, axis2=2)[:, ::-1]
+        col_sq[chunk] = np.square(z, out=z).sum(axis=2)[:, ::-1]
     return trace[leaf], diagonal[leaf], col_sq[leaf]
 
 
@@ -436,6 +462,16 @@ class ResolventTraceFunction(_BlockKernel):
         np.multiply(m, self._upper, out=m)
         np.square(m, out=m)
         return trace, diagonal, m.sum(axis=1) + m.sum(axis=2) - np.diagonal(m, axis1=1, axis2=2)
+
+    @property
+    def block_size(self) -> int:
+        """block_rows(n) for the binding; for the elimination tree BLOCK_ENTRIES // (2n) rows, 4,096
+        at n = 16, 8x a stacked block there. The tree keeps no (k, n, n) stack on its f path, and its
+        cost is mostly fixed work per block, a sort and n levels of numpy calls: one pass over the
+        oracle's 2^16 masks took a median 59 ms in blocks of 512 and 23 ms in blocks of 4,096 (one
+        BLAS thread, 2-vCPU host). Larger blocks gained little, and one block of all 2^16 masks
+        doubled the pass's peak memory."""
+        return BLOCK_ENTRIES // (2 * self.n) if self.n <= ELIMINATION_LIMIT else block_rows(self.n)
 
     @property
     def bounded_difference_constant(self) -> float:
@@ -676,6 +712,10 @@ class GFunction(BernoulliFunction):
 
     def evaluate_block(self, table: np.ndarray) -> np.ndarray:
         return self.fn.evaluate_block_with_g(table)[1]
+
+    @property
+    def block_size(self) -> int:
+        return self.fn.block_size
 
     @property
     def factorization_count(self) -> int:

@@ -27,6 +27,33 @@ class ConstantFunction(BernoulliFunction):
         return self.value
 
 
+class Blocked(BernoulliFunction):
+    """Forwards the block evaluators of `inner` and states `size` as its block size: a test sets the
+    chunking of a sweep through the function swept, as the library does."""
+
+    def __init__(self, inner: BernoulliFunction, size: int):
+        super().__init__(inner.n)
+        self.inner, self.size = inner, size
+
+    def evaluate_block(self, table):
+        return self.inner.evaluate_block(table)
+
+    def evaluate_block_with_g(self, table):
+        return self.inner.evaluate_block_with_g(table)
+
+    @property
+    def block_size(self) -> int:
+        return self.size
+
+    @property
+    def bounded_difference_constant(self):
+        return self.inner.bounded_difference_constant
+
+    @property
+    def factorization_count(self) -> int:
+        return self.inner.factorization_count
+
+
 def random_connected_graph(rng: np.random.Generator, n: int, extra_edge_prob: float = 0.3) -> Graph:
     """Uniform random attachment tree plus independent extra edges."""
     adjacency = np.zeros((n, n), dtype=np.int64)

@@ -398,6 +398,29 @@ def test_delta_small_runs_without_yes(capsys):
     assert "estimated" in err
 
 
+@pytest.mark.parametrize("side", [3, 4, 5])
+def test_delta_preview_times_distinct_rows(capsys, monkeypatch, side):
+    # the elimination tree folds equal rows into one leaf, so a block of equal rows timed it about
+    # 10x low at n = 16; the preview times distinct rows at the function's own block size, and
+    # that block is the first evaluated
+    tables = []
+
+    class Recording(functions.ResolventTraceFunction):
+        def evaluate_block_with_g(self, table):
+            tables.append(np.array(table))
+            return super().evaluate_block_with_g(table)
+
+    monkeypatch.setattr(cli, "ResolventTraceFunction", Recording)
+    argv = ["certify", "--graph", f"torus:{side}", "--lambda", "1", "--gamma", "1", "--delta", "0.05", "--seed", "1", "--yes"]
+    code, _, err = run_cli(capsys, argv)
+    assert code == 0
+    factored = int(re.search(r"at most (\d+) rows are factored", err).group(1))
+    size = functions.ResolventTraceFunction(functions.ResolventParams(1.0, 1.0, np.zeros((side * side, side * side)))).block_size
+    timed = tables[0]
+    assert len(timed) == min(size, factored) and len(np.unique(timed, axis=0)) == len(timed)
+    assert all(np.array_equal(table, timed) for table in tables[:3])
+
+
 def test_delta_preview_close_to_wall():
     # the preview times the fastest of three calls; one cold call overstated the run several times
     argv = ["certify", "--graph", "torus:3", "--lambda", "1", "--gamma", "1", "--delta", "0.05", "--seed", "4", "--threads", "1"]

@@ -91,12 +91,12 @@ def test_pair_estimate_matches_full_double_sum(torus3_params):
 def test_order_invariance_exact(torus3_params):
     fn = ResolventTraceFunction(torus3_params)
     s = sample(7, 9, 3)
-    base = estimator._pair_sweep(fn.evaluate_block_with_g, s, 1, 1)
+    base = estimator._pair_sweep(fn.evaluate_block_with_g, s, 1, 1, fn.block_size)
     rng = np.random.default_rng(0)
     for _ in range(3):
         perm = rng.permutation(7)
         shuffled = s[perm]
-        assert estimator._pair_sweep(fn.evaluate_block_with_g, shuffled, 1, 1) == base
+        assert estimator._pair_sweep(fn.evaluate_block_with_g, shuffled, 1, 1, fn.block_size) == base
 
 
 def test_pair_sweep_matches_pair_product_loop(torus3_params):
@@ -108,7 +108,7 @@ def test_pair_sweep_matches_pair_product_loop(torus3_params):
     pairs = [fn.evaluate_with_g(pair_product(s, i, j)) for i in range(p) for j in range(i + 1, p)]
     expected = tuple((p * one + 2.0 * math.fsum(v[k] for v in pairs)) / (p * p) for k, one in enumerate(ones))
     for threads in (1, 3):
-        assert estimator._pair_sweep(fn.evaluate_block_with_g, s, 1, threads)[:2] == (expected, ones)
+        assert estimator._pair_sweep(fn.evaluate_block_with_g, s, 1, threads, fn.block_size)[:2] == (expected, ones)
 
 
 def _distinct_pair_products(s):
@@ -126,7 +126,7 @@ def _swept_functions(dominated, torus3, torus3_params):
 
 
 @pytest.mark.parametrize("dominated", [False, True], ids=["interval", "disc"])
-def test_pair_sweep_matches_pair_product_loop_where_products_repeat(monkeypatch, dominated, torus3, torus3_params):
+def test_pair_sweep_matches_pair_product_loop_where_products_repeat(dominated, torus3, torus3_params):
     # 19,900 pairs at n = 9 hold 512 distinct products: each pair counts as often as it occurs
     evaluate_block, evaluate = _swept_functions(dominated, torus3, torus3_params)
     s = sample(200, 9, 4)
@@ -136,16 +136,14 @@ def test_pair_sweep_matches_pair_product_loop_where_products_repeat(monkeypatch,
     pairs = [evaluate(pair_product(s, i, j)) for i in range(p) for j in range(i + 1, p)]
     expected = tuple((p * one + 2.0 * math.fsum(v[k] for v in pairs)) / (p * p) for k, one in enumerate(ones))
     # block_rows(9) = 1,618 takes the 512 keys in one chunk; at 404 rows, threads=3 deals two chunks to two threads
-    for rows in (block_rows, lambda _: 404):
-        monkeypatch.setattr(estimator, "block_rows", rows)
+    for size in (block_rows(9), 404):
         for threads in (1, 3):
-            assert estimator._pair_sweep(evaluate_block, s, 2 if dominated else 1, threads)[:2] == (expected, ones)
+            assert estimator._pair_sweep(evaluate_block, s, 2 if dominated else 1, threads, size)[:2] == (expected, ones)
 
 
 @pytest.mark.parametrize("threads", [1, 3])
-def test_pair_sweep_evaluates_each_distinct_pair_product_once(monkeypatch, torus3_params, threads):
+def test_pair_sweep_evaluates_each_distinct_pair_product_once(torus3_params, threads):
     # 404 rows a chunk splits the 512 keys in two, which go to two threads at threads=3
-    monkeypatch.setattr(estimator, "block_rows", lambda _: 404)
     seen = []
     fn = ResolventTraceFunction(torus3_params)
 
@@ -154,7 +152,7 @@ def test_pair_sweep_evaluates_each_distinct_pair_product_once(monkeypatch, torus
         return fn.evaluate_block_with_g(table)
 
     s = sample(200, 9, 4)
-    _, _, counters = estimator._pair_sweep(recording, s, 1, threads)
+    _, _, counters = estimator._pair_sweep(recording, s, 1, threads, 404)
     # all-ones first in the calling thread's first block, and every row of {all-ones} and the
     # products once: all-ones is also a product here
     assert [rows for thread, rows in seen if thread == threading.get_ident()][0][0] == all_ones(9).tobytes()
@@ -308,13 +306,15 @@ def test_pair_sweep_submits_one_task_per_extra_block(monkeypatch, torus3_params)
     s = sample(9, 9, 8)
     for threads in (2, 5, 16):
         submitted.clear()
-        estimator._pair_sweep(ResolventTraceFunction(torus3_params).evaluate_block_with_g, s, 1, threads)
+        fn = ResolventTraceFunction(torus3_params)
+        estimator._pair_sweep(fn.evaluate_block_with_g, s, 1, threads, fn.block_size)
         assert len(submitted) <= min(threads, len(s) - 1) - 1
 
     submitted.clear()
-    estimator._pair_sweep(RecordingResolvent(torus3_params).evaluate_block_with_g, s, 1, 1)
+    fn = RecordingResolvent(torus3_params)
+    estimator._pair_sweep(fn.evaluate_block_with_g, s, 1, 1, fn.block_size)
     assert submitted == []
-    # the 29 distinct of the 36 pair products, all-ones among them, in one chunk: block_rows(9) = 1,618 holds them all
+    # the 29 distinct of the 36 pair products, all-ones among them, in one chunk: the tree's 7,281 rows at n = 9 hold them all
     distinct = {(s[i] * s[j]).tobytes() for i in range(9) for j in range(i + 1, 9)}
     assert len(distinct) == 29 and all_ones(9).tobytes() in distinct
     assert callers == [(threading.get_ident(), 29)]
@@ -332,7 +332,7 @@ def test_key_sweep_takes_one_kernel_call_per_block(threads):
         sizes.append(len(table))
         return (table.sum(axis=1, dtype=np.float64),)
 
-    (values,) = estimator._evaluate_keys(kernel, keys, 36, threads)
+    (values,) = estimator._evaluate_keys(kernel, keys, 36, threads, block_rows(36))
     assert len(sizes) == -(-len(keys) // block_rows(36)) == 18
     assert sorted(sizes) == [54] + [101] * 17
     # in key order across threads: a row sums to n minus twice its -1 entries
@@ -596,11 +596,14 @@ def test_dominated_is_one_sweep(monkeypatch, torus3, torus3_params):
             return self.fn.evaluate_block(table)
 
         @property
+        def block_size(self):
+            return 7
+
+        @property
         def factorization_count(self):
             return self.fn.factorization_count
 
     monkeypatch.setattr(estimator, "ThreadPoolExecutor", CountingPool)
-    monkeypatch.setattr(estimator, "block_rows", lambda _: 7)
     ones = all_ones(9).tobytes()
     f1, f2 = dominating_resolvent_scale(AnalyticFunction.polynomial([0.0, 0.0, 1.0]), torus3_params, torus3)
     reference = certify_dominated(f1, GFunction(f2), 12, 3, threads=1)

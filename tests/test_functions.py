@@ -16,7 +16,7 @@ from scipy.linalg import lapack
 from scipy.special import i0
 
 from paircert import estimator, functions
-from paircert.estimator import certify_dominated
+from paircert.estimator import certify_dominated, unpack_keys
 from paircert.functions import (
     AnalyticFunction,
     BernoulliFunction,
@@ -37,6 +37,7 @@ from paircert.oracle import ENUMERATION_LIMIT, check_domination, exact_expectati
 from paircert.sampling import all_ones, flip, sample
 
 from conftest import (
+    Blocked,
     ConstantFunction,
     LambdaFunction,
     random_connected_graph,
@@ -425,7 +426,7 @@ def test_walk_majorant_g_matches_naive(degree, complex_coefficients):
 
 
 @pytest.mark.parametrize("side", [3, 4, 6])
-def test_walk_majorant_same_bits_for_any_split(monkeypatch, side):
+def test_walk_majorant_same_bits_for_any_split(side):
     # blocks of 1 (GFunction.evaluate, as a traced run makes them), 3 and all rows give the same bits,
     # and so does the disc at threads 1 and 3
     graph = build_torus_cayley(side)
@@ -442,12 +443,11 @@ def test_walk_majorant_same_bits_for_any_split(monkeypatch, side):
             assert np.concatenate([f for f, _ in parts]).tolist() == f_all.tolist()
             assert np.concatenate([g for _, g in parts]).tolist() == g_all.tolist()
         documents = set()
-        for rows in (lambda _: 1, lambda _: 3, block_rows):
-            monkeypatch.setattr(estimator, "block_rows", rows)
+        for size in (1, 3, block_rows(params.n)):
             for threads in (1, 3):
                 f1, f2 = dominating_resolvent_scale(h, params, graph)
                 assert isinstance(f2, WalkMajorantFunction)
-                documents.add(json.dumps(certify_dominated(f1, GFunction(f2), 12, 5, threads=threads).to_json_dict()))
+                documents.add(json.dumps(certify_dominated(f1, Blocked(GFunction(f2), size), 12, 5, threads=threads).to_json_dict()))
         assert len(documents) == 1
 
 
@@ -501,7 +501,7 @@ def _pair_table(p: int, n: int, seed: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("side", [3, 4, 5, 6])
-def test_block_matches_single_vectors_for_any_split(monkeypatch, side):
+def test_block_matches_single_vectors_for_any_split(side):
     # one dpotrf/dpotri per row at every n; one row at a time is the k = 1 case
     graph = build_torus_cayley(side)
     params = ResolventParams(1.5, 0.75, laplacian(graph))
@@ -517,9 +517,9 @@ def test_block_matches_single_vectors_for_any_split(monkeypatch, side):
         assert np.array_equal(np.concatenate([f for f, _ in parts]), f_single)
         assert np.array_equal(np.concatenate([g for _, g in parts]), g_single)
         assert np.array_equal(np.concatenate([fn.evaluate_block(table[at:at + size]) for at in range(0, len(table), size)]), f_single)
-    # a full block of the oracle's size at n = 16 and a remainder, against one row per call
-    wide, chunk = _pair_table(33, n, 6), block_rows(16)
-    assert len(wide) > chunk
+    # a full block of the oracle's size at n = 16, the elimination tree's, and a remainder, against one row per call
+    wide, chunk = _pair_table(92, n, 6), ResolventTraceFunction(ResolventParams(1.0, 1.0, laplacian(build_torus_cayley(4)))).block_size
+    assert len(wide) > chunk == 4096
     parts = [fn.evaluate_block_with_g(wide[at:at + chunk]) for at in range(0, len(wide), chunk)]
     per_row = [fn.evaluate_with_g(eps) for eps in wide]
     assert np.concatenate([f for f, _ in parts]).tolist() == [f for f, _ in per_row]
@@ -531,14 +531,13 @@ def test_block_matches_single_vectors_for_any_split(monkeypatch, side):
     signs = sample(12, n, 5)
     h = AnalyticFunction.polynomial([0.0, 0.0, 1.0])
     documents, dominated = set(), set()
-    for rows in (lambda _: 1, lambda _: 3, block_rows):
-        monkeypatch.setattr(estimator, "block_rows", rows)
+    for size in dict.fromkeys((1, 3, block_rows(n), fn.block_size)):
         for threads in (1, 3):
-            assert estimator._pair_sweep(fn.evaluate_block_with_g, signs, 1, threads)[:2] == (expected, ones)
-            cert = estimator.certify(ResolventTraceFunction(params), 12, 5, threads=threads)
+            assert estimator._pair_sweep(fn.evaluate_block_with_g, signs, 1, threads, size)[:2] == (expected, ones)
+            cert = estimator.certify(Blocked(ResolventTraceFunction(params), size), 12, 5, threads=threads)
             documents.add(json.dumps(cert.to_json_dict()))
             f1, f2 = dominating_resolvent_scale(h, params, graph)
-            cert = estimator.certify_dominated(f1, GFunction(f2), 12, 5, threads=threads)
+            cert = estimator.certify_dominated(f1, Blocked(GFunction(f2), size), 12, 5, threads=threads)
             dominated.add(json.dumps(cert.to_json_dict()))
     assert len(documents) == len(dominated) == 1
 
@@ -624,6 +623,7 @@ def test_elimination_tree_matches_40_digit_reference(side):
 def test_elimination_tree_bits_for_any_rows():
     # all 2^9 rows, shuffled, and with duplicates, each against its single-row values
     fn = ResolventTraceFunction(ResolventParams(1.5, 0.75, laplacian(build_torus_cayley(3))))
+    assert fn.block_size >= 512
     every = 1 - 2 * ((np.arange(512)[:, None] >> np.arange(9)) & 1).astype(np.int8)
     single = np.array([fn.evaluate_with_g(eps) for eps in every])
     rows = np.random.default_rng(4).permutation(512)
@@ -631,6 +631,23 @@ def test_elimination_tree_bits_for_any_rows():
         f, g = fn.evaluate_block_with_g(every[index])
         assert f.tolist() == single[index, 0].tolist() and g.tolist() == single[index, 1].tolist()
         assert fn.evaluate_block(every[index]).tolist() == single[index, 0].tolist()
+
+
+def test_elimination_tree_bits_in_its_own_block():
+    # one block of the tree's size at n = 16 against one row per call (at n = 9 all 2^9 rows are one
+    # block of it in the test above): a complete block of 4,096 consecutive masks, whose every level
+    # past their shared top 4 bits branches both ways, and 4,096 random rows, whose leaves take
+    # Takahashi's recurrence in several chunks of block_rows(16), the last one partial
+    fn = ResolventTraceFunction(ResolventParams(1.3, 1.0, laplacian(build_torus_cayley(4))))
+    random_rows = np.random.default_rng(30).choice(np.array([-1, 1], dtype=np.int8), size=(4096, 16))
+    leaves, chunk = len(np.unique(random_rows, axis=0)), block_rows(16)
+    assert leaves > 2 * chunk and leaves % chunk
+    for table in (unpack_keys(np.arange(5 * 4096, 6 * 4096, dtype="<u8")[:, None], 16), random_rows):
+        assert len(table) == fn.block_size
+        f, g = fn.evaluate_block_with_g(table)
+        single = [fn.evaluate_with_g(eps) for eps in table]
+        assert f.tolist() == [value for value, _ in single] and g.tolist() == [value for _, value in single]
+        assert fn.evaluate_block(table).tolist() == [fn.evaluate(eps) for eps in table]
 
 
 def test_elimination_tree_refuses_non_signs():

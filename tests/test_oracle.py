@@ -221,8 +221,22 @@ class _EvaluateOnly(BernoulliFunction):
         return self.inner.evaluate(eps)
 
 
+def test_oracle_takes_the_elimination_trees_block():
+    # at n = 16 the oracle makes 2^16 / 4,096 kernel calls, one per block of the tree's size
+    sizes = []
+
+    class Recording(ResolventTraceFunction):
+        def evaluate_block(self, table):
+            sizes.append(len(table))
+            return super().evaluate_block(table)
+
+    fn = Recording(ResolventParams(1.0, 1.0, laplacian(build_torus_cayley(4))))
+    exact_expectation(fn)
+    assert fn.block_size == 4096 and sizes == [fn.block_size] * ((1 << 16) // fn.block_size)
+
+
 def test_oracle_bits_do_not_depend_on_the_split():
-    # at n = 16 the oracle's blocks of 128 rows and one row per call must agree bit for bit
+    # at n = 16 the oracle's blocks of 4,096 rows and one row per call must agree bit for bit
     fn = ResolventTraceFunction(ResolventParams(1.0, 1.0, laplacian(build_torus_cayley(4))))
     wrapped = _EvaluateOnly(fn)
     assert exact_expectation(wrapped) == exact_expectation(fn)
