@@ -84,6 +84,7 @@ POWER_SUM_BUDGET = 2500
 # the oracle's masks; its (f, g) took 5.0 against 5.6 us there. The tree's cost grows with the rows'
 # distinct prefixes: on random rows at n = 16 its f took 5.2 us against 4.4 us, and at n = 25 3.1x
 # the binding's, while at n = 20 its (f, g) lost on the pair sweep's keys too (8.8 against 7.3 us).
+# The tree itself is correct only for n <= 53 (see _eliminate), whatever this limit becomes.
 ELIMINATION_LIMIT = 16
 
 
@@ -323,6 +324,11 @@ def _eliminate(base: np.ndarray, lam: float, table: np.ndarray, with_g: bool):
     block_rows(n) leaves at a time, so its (leaves, n, n) stack stays within BLOCK_ENTRIES in any
     block. Every value comes from its own row's operations in a fixed order, so it has the same
     bits in any block.
+
+    Domain: n <= 53. A row's sort key is an int64, which wraps at n = 64, and the depth at which
+    two sorted rows part is read from the float64 exponent of their keys' XOR, which rounds up
+    to the next power of two once the XOR has more than 53 bits. At n = 54 the rows with keys
+    2^53 - 1 and 2^53 get a split depth off by one, and the call raises IndexError.
     """
     k, n = len(table), len(base)
     _check_length(table, n)

@@ -54,6 +54,27 @@ class Blocked(BernoulliFunction):
         return self.inner.factorization_count
 
 
+def _bits(arrays) -> list:
+    return [np.ascontiguousarray(a).view(np.int64).tolist() for a in arrays]
+
+
+def assert_same_bits_for_any_split(fn: BernoulliFunction, table: np.ndarray, sizes, with_g: bool):
+    """`fn.evaluate_block`, over the whole table and in blocks of each size, gives the bits of one row
+    per call through `fn.evaluate`; with `with_g` so do `fn.evaluate_block_with_g` and
+    `fn.evaluate_with_g` for f and g. Returns the whole table's (f,) or (f, g) arrays."""
+    paths = [(lambda rows: (fn.evaluate_block(rows),), lambda eps: (fn.evaluate(eps),))]
+    if with_g:
+        paths.append((fn.evaluate_block_with_g, fn.evaluate_with_g))
+    whole = paths[-1][0](table)
+    for block, one_row in paths:
+        single = list(zip(*map(one_row, table)))
+        assert _bits(single) == _bits(whole[:len(single)])
+        for size in (*sizes, len(table)):
+            split = list(zip(*(block(table[at:at + size]) for at in range(0, len(table), size))))
+            assert _bits(map(np.concatenate, split)) == _bits(whole[:len(split)])
+    return whole
+
+
 def random_connected_graph(rng: np.random.Generator, n: int, extra_edge_prob: float = 0.3) -> Graph:
     """Uniform random attachment tree plus independent extra edges."""
     adjacency = np.zeros((n, n), dtype=np.int64)

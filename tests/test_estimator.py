@@ -131,9 +131,13 @@ def test_pair_sweep_matches_pair_product_loop_where_products_repeat(dominated, t
     evaluate_block, evaluate = _swept_functions(dominated, torus3, torus3_params)
     s = sample(200, 9, 4)
     p = len(s)
-    assert len(_distinct_pair_products(s)) == 512
+    products = [pair_product(s, i, j) for i in range(p) for j in range(i + 1, p)]
+    # each distinct product evaluated once, looked up by its bytes
+    distinct = {eps.tobytes(): eps for eps in products}
+    assert len(distinct) == 512
+    memo = {key: evaluate(eps) for key, eps in distinct.items()}
     ones = evaluate(all_ones(9))
-    pairs = [evaluate(pair_product(s, i, j)) for i in range(p) for j in range(i + 1, p)]
+    pairs = [memo[eps.tobytes()] for eps in products]
     expected = tuple((p * one + 2.0 * math.fsum(v[k] for v in pairs)) / (p * p) for k, one in enumerate(ones))
     # block_rows(9) = 1,618 takes the 512 keys in one chunk; at 404 rows, threads=3 deals two chunks to two threads
     for size in (block_rows(9), 404):

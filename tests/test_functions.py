@@ -40,6 +40,7 @@ from conftest import (
     Blocked,
     ConstantFunction,
     LambdaFunction,
+    assert_same_bits_for_any_split,
     random_connected_graph,
     random_signs,
     single_vertex_graph,
@@ -427,21 +428,14 @@ def test_walk_majorant_g_matches_naive(degree, complex_coefficients):
 
 @pytest.mark.parametrize("side", [3, 4, 6])
 def test_walk_majorant_same_bits_for_any_split(side):
-    # blocks of 1 (GFunction.evaluate, as a traced run makes them), 3 and all rows give the same bits,
-    # and so does the disc at threads 1 and 3
+    # blocks of 1 (as a traced run makes them), 3 and all rows give the same bits, and so does the disc
+    # at threads 1 and 3
     graph = build_torus_cayley(side)
     params = ResolventParams(1.5, 0.75, laplacian(graph))
     table = _pair_table(12, params.n, 5)
     for spec in MAJORANT_POLYS:
         h = AnalyticFunction.from_spec(spec)
-        fn = WalkMajorantFunction(h, params)
-        f_all, g_all = fn.evaluate_block_with_g(table)
-        assert [GFunction(fn).evaluate(eps) for eps in table] == g_all.tolist()
-        assert [fn.evaluate(eps) for eps in table] == f_all.tolist()
-        for size in (1, 3):
-            parts = [fn.evaluate_block_with_g(table[at:at + size]) for at in range(0, len(table), size)]
-            assert np.concatenate([f for f, _ in parts]).tolist() == f_all.tolist()
-            assert np.concatenate([g for _, g in parts]).tolist() == g_all.tolist()
+        assert_same_bits_for_any_split(WalkMajorantFunction(h, params), table, (1, 3), with_g=True)
         documents = set()
         for size in (1, 3, block_rows(params.n)):
             for threads in (1, 3):
@@ -502,29 +496,18 @@ def _pair_table(p: int, n: int, seed: int) -> np.ndarray:
 
 @pytest.mark.parametrize("side", [3, 4, 5, 6])
 def test_block_matches_single_vectors_for_any_split(side):
-    # one dpotrf/dpotri per row at every n; one row at a time is the k = 1 case
+    # the elimination tree up to n = ELIMINATION_LIMIT and one dpotrf/dpotri per row above it; one row
+    # at a time is the k = 1 case
     graph = build_torus_cayley(side)
     params = ResolventParams(1.5, 0.75, laplacian(graph))
     n = side * side
     fn = ResolventTraceFunction(params)
-    table = _pair_table(12, n, 5)
-    single = [fn.evaluate_with_g(eps) for eps in table]
-    f_single = np.array([f for f, _ in single])
-    g_single = np.array([g for _, g in single])
-    assert np.array_equal(np.array([fn.evaluate(eps) for eps in table]), f_single)
-    for size in (1, 3, len(table)):
-        parts = [fn.evaluate_block_with_g(table[at:at + size]) for at in range(0, len(table), size)]
-        assert np.array_equal(np.concatenate([f for f, _ in parts]), f_single)
-        assert np.array_equal(np.concatenate([g for _, g in parts]), g_single)
-        assert np.array_equal(np.concatenate([fn.evaluate_block(table[at:at + size]) for at in range(0, len(table), size)]), f_single)
-    # a full block of the oracle's size at n = 16, the elimination tree's, and a remainder, against one row per call
-    wide, chunk = _pair_table(92, n, 6), ResolventTraceFunction(ResolventParams(1.0, 1.0, laplacian(build_torus_cayley(4)))).block_size
-    assert len(wide) > chunk == 4096
-    parts = [fn.evaluate_block_with_g(wide[at:at + chunk]) for at in range(0, len(wide), chunk)]
-    per_row = [fn.evaluate_with_g(eps) for eps in wide]
-    assert np.concatenate([f for f, _ in parts]).tolist() == [f for f, _ in per_row]
-    assert np.concatenate([g for _, g in parts]).tolist() == [g for _, g in per_row]
-    assert np.concatenate([fn.evaluate_block(wide[at:at + chunk]) for at in range(0, len(wide), chunk)]).tolist() == [fn.evaluate(eps) for eps in wide]
+    f_single, g_single = assert_same_bits_for_any_split(fn, _pair_table(12, n, 5), (1, 3), with_g=True)
+    if side == 4:
+        # a full block of the oracle's size, the elimination tree's at n = 16, and a remainder
+        wide = _pair_table(92, n, 6)
+        assert len(wide) > fn.block_size == 4096
+        assert_same_bits_for_any_split(fn, wide, (fn.block_size,), with_g=True)
 
     ones = fn.evaluate_with_g(all_ones(n))
     expected = tuple((12 * one + 2.0 * math.fsum(v)) / 144.0 for one, v in zip(ones, (f_single, g_single)))
@@ -621,13 +604,14 @@ def test_elimination_tree_matches_40_digit_reference(side):
 
 
 def test_elimination_tree_bits_for_any_rows():
-    # all 2^9 rows, shuffled, and with duplicates, each against its single-row values
+    # all 2^9 rows in one block and in blocks of 3, each against its single-row values, then shuffled
+    # and with duplicates
     fn = ResolventTraceFunction(ResolventParams(1.5, 0.75, laplacian(build_torus_cayley(3))))
     assert fn.block_size >= 512
     every = 1 - 2 * ((np.arange(512)[:, None] >> np.arange(9)) & 1).astype(np.int8)
-    single = np.array([fn.evaluate_with_g(eps) for eps in every])
+    single = np.array(assert_same_bits_for_any_split(fn, every, (3,), with_g=True)).T
     rows = np.random.default_rng(4).permutation(512)
-    for index in (np.arange(512), rows, np.concatenate([rows[:40], rows[:40], rows[7:9], [5, 5, 5]])):
+    for index in (rows, np.concatenate([rows[:40], rows[:40], rows[7:9], [5, 5, 5]])):
         f, g = fn.evaluate_block_with_g(every[index])
         assert f.tolist() == single[index, 0].tolist() and g.tolist() == single[index, 1].tolist()
         assert fn.evaluate_block(every[index]).tolist() == single[index, 0].tolist()
@@ -644,10 +628,7 @@ def test_elimination_tree_bits_in_its_own_block():
     assert leaves > 2 * chunk and leaves % chunk
     for table in (unpack_keys(np.arange(5 * 4096, 6 * 4096, dtype="<u8")[:, None], 16), random_rows):
         assert len(table) == fn.block_size
-        f, g = fn.evaluate_block_with_g(table)
-        single = [fn.evaluate_with_g(eps) for eps in table]
-        assert f.tolist() == [value for value, _ in single] and g.tolist() == [value for _, value in single]
-        assert fn.evaluate_block(table).tolist() == [fn.evaluate(eps) for eps in table]
+        assert_same_bits_for_any_split(fn, table, (), with_g=True)
 
 
 def test_elimination_tree_refuses_non_signs():
@@ -735,14 +716,11 @@ def test_f_only_equals_f_of_pair_path(monkeypatch, n, fallback):
     # the fallback leaves M^-1 in the same stack, so the same holds there
     if fallback:
         monkeypatch.setattr(functions, "_openblas", None)
-    fn = ResolventTraceFunction(_large_params(n))
-    table = _pair_table(5, n, 8)
-    assert fn.evaluate_block(table).tolist() == fn.evaluate_block_with_g(table)[0].tolist()
-    assert [fn.evaluate(eps) for eps in table] == fn.evaluate_block(table).tolist()
+    assert_same_bits_for_any_split(ResolventTraceFunction(_large_params(n)), _pair_table(5, n, 8), (), with_g=True)
 
 
 def test_binding_absent_when_library_will_not_load(monkeypatch):
-    # a numpy whose _umath_linalg ctypes cannot open takes the stacked numpy kernel
+    # a numpy whose _umath_linalg ctypes cannot open takes the stacked numpy kernel above ELIMINATION_LIMIT
     def refuse(*args, **kwargs):
         raise OSError("cannot open shared object file")
 
@@ -854,11 +832,7 @@ def test_power_sums_same_bits_for_any_split(side):
     params = ResolventParams(1.5, 0.75, laplacian(build_torus_cayley(side)))
     table = _pair_table(8, params.n, 4)
     for coeffs in ([0.0, 0.0, 1.0], [1.0, -2.0, 0.5], [0.5, 1.0, -1.0, 0.25, 0.0, 0.125], [0.0, 1j, 2.0, -1j]):
-        fn = SpectralTraceFunction(AnalyticFunction.polynomial(coeffs), params)
-        whole = fn.evaluate_block(table).tolist()
-        for size in (1, 7):
-            assert np.concatenate([fn.evaluate_block(table[at:at + size]) for at in range(0, len(table), size)]).tolist() == whole
-        assert [fn.evaluate(eps) for eps in table] == whole
+        assert_same_bits_for_any_split(SpectralTraceFunction(AnalyticFunction.polynomial(coeffs), params), table, (1, 7), with_g=False)
 
 
 def test_trailing_zero_coefficients_are_dropped(torus3_params):

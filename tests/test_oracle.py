@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from paircert.functions import (
     AnalyticFunction,
-    BernoulliFunction,
     ResolventParams,
     ResolventTraceFunction,
     dominating_resolvent_scale,
@@ -27,7 +26,7 @@ from paircert.oracle import (
     walsh_spectrum,
 )
 
-from conftest import ConstantFunction, LambdaFunction, random_connected_graph, single_vertex_resolvent
+from conftest import Blocked, ConstantFunction, LambdaFunction, random_connected_graph, single_vertex_resolvent
 
 
 def _fwht_slow(values: np.ndarray) -> np.ndarray:
@@ -210,17 +209,6 @@ def test_spectrum_immutable(torus3_params):
         spec.coefficients[0] = 1.0
 
 
-class _EvaluateOnly(BernoulliFunction):
-    """Forwards `evaluate` alone, as a tracing wrapper does: its blocks are one row per call."""
-
-    def __init__(self, inner: BernoulliFunction):
-        super().__init__(inner.n)
-        self.inner = inner
-
-    def evaluate(self, eps):
-        return self.inner.evaluate(eps)
-
-
 def test_oracle_takes_the_elimination_trees_block():
     # at n = 16 the oracle makes 2^16 / 4,096 kernel calls, one per block of the tree's size
     sizes = []
@@ -236,8 +224,9 @@ def test_oracle_takes_the_elimination_trees_block():
 
 
 def test_oracle_bits_do_not_depend_on_the_split():
-    # at n = 16 the oracle's blocks of 4,096 rows and one row per call must agree bit for bit
+    # at n = 16 the oracle's blocks of 4,096 rows and one row per call must agree bit for bit at every
+    # mask; its mean and spectrum are functions of these values alone
     fn = ResolventTraceFunction(ResolventParams(1.0, 1.0, laplacian(build_torus_cayley(4))))
-    wrapped = _EvaluateOnly(fn)
-    assert exact_expectation(wrapped) == exact_expectation(fn)
-    assert walsh_spectrum(wrapped).coefficients.tolist() == walsh_spectrum(fn).coefficients.tolist()
+    values = _enumerate_values(fn)
+    assert len(values) == 1 << 16
+    assert values.view(np.int64).tolist() == _enumerate_values(Blocked(fn, 1)).view(np.int64).tolist()
