@@ -35,7 +35,6 @@ from .estimator import (
     certify,
     certify_dominated,
     choose_p,
-    unpack_keys,
 )
 from .functions import (
     AnalyticFunction,
@@ -48,7 +47,7 @@ from .functions import (
 )
 from .graph import Graph, build_torus_cayley, from_edge_list, laplacian
 from .oracle import check_domination, check_nonnegative, walsh_spectrum
-from .sampling import MAX_SIGNS
+from .sampling import MAX_SIGNS, unpack_keys
 
 REPRODUCE_GRAPH = "torus:15"
 REPRODUCE_P = 30
@@ -128,7 +127,7 @@ def _certify_resolvent(args: argparse.Namespace, params: ResolventParams):
         factored = min(evaluations, 2**fn.n)
         # fastest of three calls on a block as the sweep forms them: a cold call or a lone row overstates the
         # run, and equal rows understate it, since the elimination tree folds them into one leaf
-        table = unpack_keys(np.arange(min(fn.block_size, factored), dtype="<u8")[:, None], fn.n)
+        table = unpack_keys(np.arange(min(fn.block_size, factored), dtype="<u8"), fn.n)
         per_eval = min(timeit.repeat(lambda: fn.evaluate_block_with_g(table), number=1, repeat=3)) / len(table)
         estimate = per_eval * factored
         print(f"target width {args.delta}: p={p}, {evaluations} combined evaluations, of which at most {factored} rows are factored: estimated {estimate:.1f}s", file=sys.stderr)

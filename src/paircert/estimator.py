@@ -20,10 +20,11 @@ function g2 with nonnegative coefficients dominates it coefficientwise,
 average over the same pairs, so one sweep evaluates f1 and g2 on each block.
 
 F and G depend on the pair products only as a multiset, and when
-p(p-1)/2 exceeds 2^n it repeats rows. Keyed by its -1 entries, all-ones
-is key 0; it and each distinct pair product are evaluated once, in chunks
-of the swept functions' block size, by the evaluator that also enumerates
-the oracle's 2^n keys, and each value is weighted by its count. That size
+p(p-1)/2 exceeds 2^n it repeats rows. Each row is keyed by its -1
+entries (sampling.pack_keys), so all-ones is key 0; it and each distinct
+pair product are evaluated once, in chunks of the swept functions' block
+size, by the evaluator that also enumerates the oracle's 2^n keys, and
+each value is weighted by its count. That size
 is `BernoulliFunction.block_size`: block_rows(n) for a stacked (k, n, n)
 kernel, and more rows for the resolvent's elimination tree, whose cost is
 mostly fixed work per block; a disc takes the smaller of its two. The
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import BernoulliFunction, FactorizationError
-from .sampling import sample
+from .sampling import pack_keys, sample, unpack_keys
 
 SCHEMA_VERSION = 1
 NUMERICAL_SLACK = 1e-8
@@ -195,52 +196,36 @@ KEY_BUFFER = 1 << 16
 
 def _pair_multiset(signs: np.ndarray):
     """The multiset of pair products X_i o X_j, i < j, of a (p, n) sign table:
-    its distinct rows as keys, and how often each occurs. A key is a row's -1
-    entries packed to bits in little-endian uint64 words, bit k for coordinate
-    k, so a one-word key is the oracle's mask and all-ones is key 0, which the
-    distinct set starts with at count 0. The key of X_i o X_j is the XOR of
-    the keys of X_i and X_j. The keys are formed row by row of the pair
-    triangle and merged into the distinct keys once KEY_BUFFER of them are
-    pending. When n <= 64 a key is one word, and a direct sort (np.unique)
-    reduces the buffer to its distinct keys with counts before the merge; only
-    the union of two distinct sets is then sorted indirectly (np.lexsort).
-    Wider keys rarely repeat and go to the merge as they are. Either way the
-    keys come out distinct and in ascending lexsort order, key 0 first.
+    its distinct rows as 1-D keys (sampling.pack_keys), and how often each
+    occurs. All-ones is key 0, which the distinct set starts with at count 0.
+    The keys are formed row by row of the pair triangle, as XORs of the rows'
+    words, and once KEY_BUFFER of them are pending, np.unique reduces them to
+    distinct keys with counts, and a stable sort merges those into the
+    distinct set. The keys come out distinct and strictly increasing in
+    their items' order (uint64 words when n <= 64, else bytes), key 0 first.
     """
-    p, n = signs.shape
-    words = -(-n // 64)
-    negative = np.zeros((p, 64 * words), dtype=bool)
-    negative[:, :n] = signs < 0
-    rows = np.packbits(negative, axis=1, bitorder="little").view("<u8")
-    keys, counts = np.zeros((1, words), dtype=rows.dtype), np.zeros(1, dtype=np.int64)
+    p = len(signs)
+    rows = pack_keys(signs)
+    words = rows.view("<u8").reshape(p, -1)
+    keys, counts = np.zeros(1, dtype=rows.dtype), np.zeros(1, dtype=np.int64)
     pending, held = [], 0
     for i in range(p - 1):
-        pending.append(rows[i] ^ rows[i + 1:])
+        pending.append(words[i] ^ words[i + 1:])
         held += p - 1 - i
         if held >= KEY_BUFFER or i == p - 2:
-            fresh = np.concatenate(pending)
-            if words == 1:
-                fresh, fresh_counts = np.unique(fresh, return_counts=True)
-                fresh = fresh[:, None]
-            else:
-                fresh_counts = np.ones(held, dtype=np.int64)
+            fresh, fresh_counts = np.unique(np.concatenate(pending).view(rows.dtype)[:, 0], return_counts=True)
             keys, counts = np.concatenate([keys, fresh]), np.concatenate([counts, fresh_counts])
-            order = np.lexsort(keys.T)  # equal keys become adjacent
+            order = np.argsort(keys, kind="stable")  # equal keys become adjacent
             keys, counts = keys[order], counts[order]
-            starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+            starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
             keys, counts = keys[starts], np.add.reduceat(counts, starts)
             pending, held = [], 0
     return keys, counts
 
 
-def unpack_keys(keys: np.ndarray, n: int) -> np.ndarray:
-    """The (k, n) int8 sign table of (k, words) keys packed as by _pair_multiset."""
-    return 1 - 2 * np.unpackbits(keys.view(np.uint8), axis=1, count=n, bitorder="little").view(np.int8)
-
-
 def _evaluate_keys(evaluate_block, keys: np.ndarray, n: int, threads: int, size: int):
     """Per-component arrays, in key order, of evaluate_block(table) -> tuple of
-    arrays over the sign vectors of (k, words) keys packed as by _pair_multiset.
+    arrays over the sign vectors of 1-D keys packed as by sampling.pack_keys.
     Chunk k of `size` keys, the swept functions' block size, unpacked to int8
     signs, goes to thread k mod threads: the calling thread sweeps its own
     share and the pool the others, so a call submits at most threads - 1

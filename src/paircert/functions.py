@@ -63,7 +63,7 @@ from typing import Callable
 
 import numpy as np
 
-from .sampling import flip
+from .sampling import flip, pack_keys
 
 # Quadrature starts at this many nodes and stops once doubling the nodes
 # moves the value by less than QUADRATURE_RTOL relative.
@@ -84,7 +84,7 @@ POWER_SUM_BUDGET = 2500
 # the oracle's masks; its (f, g) took 5.0 against 5.6 us there. The tree's cost grows with the rows'
 # distinct prefixes: on random rows at n = 16 its f took 5.2 us against 4.4 us, and at n = 25 3.1x
 # the binding's, while at n = 20 its (f, g) lost on the pair sweep's keys too (8.8 against 7.3 us).
-# The tree itself is correct only for n <= 53 (see _eliminate), whatever this limit becomes.
+# The tree itself takes n <= 64, where a key is one uint64 word (see _eliminate), whatever this limit becomes.
 ELIMINATION_LIMIT = 16
 
 
@@ -309,39 +309,36 @@ def _eliminate(base: np.ndarray, lam: float, table: np.ndarray, with_g: bool):
     over the rows of a sign table, M = base - lam*diag(eps), by one elimination tree.
 
     The tree eliminates coordinate n-1 first, so rows that share their trailing signs share those
-    eliminations: one sort of the rows by their signs, read from coordinate n-1 down, maps each row
-    to its node at every depth, and equal rows share a leaf. A node holds the Schur complement S of
-    the eliminated coordinates with the shifts of the pending ones left out, beside the pending rows
-    of L^-1 for M = L D L^T, and the trace c so far. Its child for sign e of the next coordinate
-    takes the pivot a = S_00 - lam*e, q = S[1:, 0]/a and S <- S[1:, 1:] - S[1:, 0] q^T; row 0 of
-    L^-1 is then final, x, so c <- c + |x|^2/a, and each pending row i takes -q_i x. The Gram matrix
-    of the pending rows is the trace weight W that makes c + Tr(W S^-1) = Tr M^-1 at every depth.
-    A level at which every node has both children, as each level past the shared top bits of a run
-    of consecutive masks does, builds them by broadcasting the node over its two signs, sign -1
-    first as the sort leaves them; a level at which some node has one child gathers each child's
-    parent. The flip half-sum needs all of M^-1: from the last pivot back, Takahashi's recurrence
-    takes Z_j = [[1/a + q^T v, -v^T], [-v, Z_j+1]], v = Z_j+1 q, and Z_0 = M^-1, over at most
-    block_rows(n) leaves at a time, so its (leaves, n, n) stack stays within BLOCK_ENTRIES in any
-    block. Every value comes from its own row's operations in a fixed order, so it has the same
-    bits in any block.
+    eliminations: one sort of the rows by their keys (sampling.pack_keys), whose leading bit is
+    coordinate n-1, maps each row to its node at every depth, and equal rows share a leaf. A node
+    holds the Schur complement S of the eliminated coordinates with the shifts of the pending ones
+    left out, beside the pending rows of L^-1 for M = L D L^T, and the trace c so far. Its child for
+    sign e of the next coordinate takes the pivot a = S_00 - lam*e, q = S[1:, 0]/a and
+    S <- S[1:, 1:] - S[1:, 0] q^T; row 0 of L^-1 is then final, x, so c <- c + |x|^2/a, and each
+    pending row i takes -q_i x. The Gram matrix of the pending rows is the trace weight W that makes
+    c + Tr(W S^-1) = Tr M^-1 at every depth. A level at which every node has both children, as each
+    level past the shared top bits of a run of consecutive masks does, builds them by broadcasting the
+    node over its two signs, sign +1 first as the sort leaves them; a level at which some node has
+    one child gathers each child's parent. The flip half-sum needs all of M^-1: from the last pivot
+    back, Takahashi's recurrence takes Z_j = [[1/a + q^T v, -v^T], [-v, Z_j+1]], v = Z_j+1 q, and
+    Z_0 = M^-1, over at most block_rows(n) leaves at a time, so its (leaves, n, n) stack stays
+    within BLOCK_ENTRIES in any block. Every value comes from its own row's operations in a fixed
+    order, so it has the same bits in any block.
 
-    Domain: n <= 53. A row's sort key is an int64, which wraps at n = 64, and the depth at which
-    two sorted rows part is read from the float64 exponent of their keys' XOR, which rounds up
-    to the next power of two once the XOR has more than 53 bits. At n = 54 the rows with keys
-    2^53 - 1 and 2^53 get a split depth off by one, and the call raises IndexError.
+    Domain: n <= 64, where a key is one uint64 word. A row opens a node at depth d where its key
+    and the previous row's differ in their top d bits, an exact integer test.
     """
     k, n = len(table), len(base)
     _check_length(table, n)
     if not (np.abs(table) == 1).all():  # rows share a node by their signs alone
         raise ValueError("sign vector entries must be -1 or +1")
     if k > 1:
-        key = (table > 0).astype(np.int64) @ (1 << np.arange(n))  # coordinate n-1 the leading bit
+        key = pack_keys(table)  # coordinate n-1 the leading bit
         order = np.argsort(key, kind="stable")
         key = key[order]
-        # sorted row i first differs from row i-1 at depth n - bit length of their keys' XOR
-        split = n - np.frexp(key[1:] ^ key[:-1])[1]
-        fresh = np.ones((n + 1, k), dtype=bool)  # fresh[d, i]: sorted row i opens a node of depth d
-        fresh[:, 1:] = split < np.arange(n + 1)[:, None]
+        # fresh[d, i]: sorted row i opens a node of depth d, as its top d bits differ from row i-1's
+        fresh = np.ones((n + 1, k), dtype=bool)
+        fresh[:, 1:] = (key[1:] ^ key[:-1]) >> np.arange(n, -1, -1, dtype=np.uint64)[:, None] != 0
         node = np.cumsum(fresh, axis=1, dtype=np.int32)
         node -= 1  # node[d, i]: the node of depth d that sorted row i is in
         table = table[order]

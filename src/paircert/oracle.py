@@ -87,7 +87,7 @@ def _enumerate_values(fn: BernoulliFunction) -> np.ndarray:
     total = 1 << n
     if n > ENUMERATION_LIMIT:
         raise BudgetError(f"enumeration at n={n} needs 2^{n} = {total} evaluations; the budget stops at n={ENUMERATION_LIMIT}")
-    return _evaluate_keys(lambda table: (fn.evaluate_block(table),), np.arange(total, dtype="<u8")[:, None], n, threads=1, size=fn.block_size)[0]
+    return _evaluate_keys(lambda table: (fn.evaluate_block(table),), np.arange(total, dtype="<u8"), n, threads=1, size=fn.block_size)[0]
 
 
 def _exact_mean(values: np.ndarray) -> float | complex:

@@ -14,6 +14,11 @@ bit for bit from (seed, p, n):
 Entries signs[i][k] consume the stream row-major: i (sample index) outer,
 k (coordinate) inner. A sign table is a read-only (rows, n) int8 array, and
 all products are computed in integer arithmetic, never floating point.
+
+A row's key packs its -1 entries to bits, bit k for coordinate k, in
+little-endian uint64 words: one item per row, the word itself when n <= 64
+(then the oracle's mask, and all-ones is key 0), else the bytes of its words.
+The key of a product of two rows is the XOR of their words.
 """
 
 from __future__ import annotations
@@ -77,3 +82,17 @@ def flip(v: np.ndarray, r: int) -> np.ndarray:
 def all_ones(n: int) -> np.ndarray:
     """The all-ones sign vector (the pair product of any row with itself)."""
     return np.ones(n, dtype=np.int8)
+
+
+def pack_keys(table: np.ndarray) -> np.ndarray:
+    """The 1-D keys of the rows of a (k, n) sign table: uint64 words when n <= 64, else V(8*words) items."""
+    k, n = table.shape
+    words = -(-n // 64)
+    negative = np.zeros((k, 64 * words), dtype=bool)
+    negative[:, :n] = table < 0
+    return np.packbits(negative, axis=1, bitorder="little").view("<u8" if words == 1 else f"V{8 * words}")[:, 0]
+
+
+def unpack_keys(keys: np.ndarray, n: int) -> np.ndarray:
+    """The (k, n) int8 sign table of contiguous 1-D keys packed as by pack_keys."""
+    return 1 - 2 * np.unpackbits(keys.view(np.uint8).reshape(-1, keys.itemsize), axis=1, count=n, bitorder="little").view(np.int8)

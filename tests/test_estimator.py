@@ -172,21 +172,21 @@ def test_pair_multiset_counts_every_pair(monkeypatch, buffer):
     # n = 70 takes two words a key, and the repeated rows make its products repeat
     monkeypatch.setattr(estimator, "KEY_BUFFER", buffer)
     tables = [sample(200, 9, 4), sample(40, 16, 1), np.concatenate([sample(6, 70, 3)] * 3), sample(2, 1, 0), sample(1, 5, 0)]
-    # the key-width boundary: n = 64 fills one word (its direct sort), n = 65 puts one bit in a second word (lexsort)
+    # the key-width boundary: n = 64 fills one word, n = 65 puts one bit in a second (a key is two words' bytes)
     tables += [np.concatenate([sample(6, n, 3)] * 3) for n in (64, 65)]
     assert all(len(set(s[:, -1])) == 2 for s in tables[-2:])  # the last bit differs between pairs
     for s in tables:
         p, n = s.shape
         keys, counts = estimator._pair_multiset(s)
-        rows = 1 - 2 * np.unpackbits(keys.view(np.uint8), axis=1, count=n, bitorder="little").view(np.int8)
+        rows = 1 - 2 * np.unpackbits(keys.view(np.uint8).reshape(len(keys), -1), axis=1, count=n, bitorder="little").view(np.int8)
         # all-ones is key 0, first, counting the pairs with X_i = X_j (0 where there are none)
         ones = all_ones(n).tobytes()
         expected = {ones: 0, **collections.Counter((s[i] * s[j]).tobytes() for i in range(p) for j in range(i + 1, p))}
-        assert not keys[0].any() and rows[0].tobytes() == ones
+        assert not keys[:1].view(np.uint8).any() and rows[0].tobytes() == ones
         assert len(keys) == len(expected)
         assert {row.tobytes(): int(count) for row, count in zip(rows, counts)} == expected
-        # ascending, as the sweep's chunks and their dealing to threads assume
-        assert (np.lexsort(keys.T) == np.arange(len(keys))).all()
+        # strictly increasing in the items' own order, key 0 first
+        assert keys.ndim == 1 and np.array_equal(np.unique(keys), keys)
 
 
 def test_pair_multiset_key_is_the_oracle_mask():
@@ -195,13 +195,13 @@ def test_pair_multiset_key_is_the_oracle_mask():
     for mask in range(1 << 9):
         v = (1 - 2 * ((mask >> np.arange(9)) & 1)).astype(np.int8)
         keys, counts = estimator._pair_multiset(np.stack([all_ones(9), v]))
-        expected = ([[0]], [1]) if mask == 0 else ([[0], [mask]], [0, 1])
+        expected = ([0], [1]) if mask == 0 else ([0, mask], [0, 1])
         assert (keys.tolist(), counts.tolist()) == expected
     # two words: coordinate 64 is bit 0 of the second
     v = all_ones(70)
     v[64] = -1
     keys, counts = estimator._pair_multiset(np.stack([all_ones(70), v]))
-    assert (keys.tolist(), counts.tolist()) == ([[0, 0], [0, 1]], [0, 1])
+    assert (keys.view("<u8").reshape(-1, 2).tolist(), counts.tolist()) == ([[0, 0], [0, 1]], [0, 1])
 
 
 def _fsum(values):
@@ -340,7 +340,7 @@ def test_key_sweep_takes_one_kernel_call_per_block(threads):
     assert len(sizes) == -(-len(keys) // block_rows(36)) == 18
     assert sorted(sizes) == [54] + [101] * 17
     # in key order across threads: a row sums to n minus twice its -1 entries
-    assert values.tolist() == (36 - 2 * np.unpackbits(keys.view(np.uint8), axis=1).sum(axis=1, dtype=np.int64)).tolist()
+    assert values.tolist() == (36 - 2 * np.unpackbits(keys.view(np.uint8).reshape(len(keys), -1), axis=1).sum(axis=1, dtype=np.int64)).tolist()
     # every stacked (k, n, n) float64 block stays within 1 MiB, or is the one row an n past 362 needs,
     # and one row more would pass 1 MiB
     for n in range(1, 401):

@@ -16,7 +16,7 @@ from scipy.linalg import lapack
 from scipy.special import i0
 
 from paircert import estimator, functions
-from paircert.estimator import certify_dominated, unpack_keys
+from paircert.estimator import certify_dominated
 from paircert.functions import (
     AnalyticFunction,
     BernoulliFunction,
@@ -34,7 +34,7 @@ from paircert.functions import (
 )
 from paircert.graph import build_torus_cayley, from_edge_list, laplacian
 from paircert.oracle import ENUMERATION_LIMIT, check_domination, exact_expectation, walsh_spectrum
-from paircert.sampling import all_ones, flip, sample
+from paircert.sampling import all_ones, flip, sample, unpack_keys
 
 from conftest import (
     Blocked,
@@ -626,7 +626,7 @@ def test_elimination_tree_bits_in_its_own_block():
     random_rows = np.random.default_rng(30).choice(np.array([-1, 1], dtype=np.int8), size=(4096, 16))
     leaves, chunk = len(np.unique(random_rows, axis=0)), block_rows(16)
     assert leaves > 2 * chunk and leaves % chunk
-    for table in (unpack_keys(np.arange(5 * 4096, 6 * 4096, dtype="<u8")[:, None], 16), random_rows):
+    for table in (unpack_keys(np.arange(5 * 4096, 6 * 4096, dtype="<u8"), 16), random_rows):
         assert len(table) == fn.block_size
         assert_same_bits_for_any_split(fn, table, (), with_g=True)
 
@@ -660,6 +660,22 @@ def test_elimination_limit_covers_the_oracle():
     assert functions.ELIMINATION_LIMIT >= ENUMERATION_LIMIT
 
 
+@pytest.mark.parametrize("n", [54, 64])
+def test_elimination_tree_domain_reaches_one_word(n):
+    # the tree's keys are one uint64 word up to n = 64: at n = 54 the adjacent keys 2^53 - 1 and 2^53,
+    # whose XOR a float64 exponent would round up a split depth for, and at n = 64 all-ones and all
+    # minus, keys 0 and 2^64 - 1, among random rows; the tree agrees with the binding on both
+    fn = ResolventTraceFunction(_large_params(n))
+    table = np.random.default_rng(n).choice(np.array([-1, 1], dtype=np.int8), size=(64, n))
+    coordinate = np.arange(n)
+    table[:2] = [np.where(coordinate < 53, -1, 1), np.where(coordinate == 53, -1, 1)] if n == 54 else [all_ones(n), -all_ones(n)]
+    f, g = fn.evaluate_block_with_g(table)
+    lam = fn.params.lam
+    trace, diagonal, col_sq = functions._eliminate(fn._base, lam, table, with_g=True)
+    np.testing.assert_allclose(trace / n, f, rtol=1e-14, atol=0)
+    np.testing.assert_allclose((lam / n) * (table * col_sq / (1.0 + 2.0 * lam * table * diagonal)).sum(axis=1), g, rtol=1e-12, atol=0)
+
+
 def _large_params(n: int) -> ResolventParams:
     """A torus when n is a square, else a random connected graph; lam = 1.5, gamma = 0.75."""
     side = math.isqrt(n)
@@ -690,10 +706,10 @@ def test_binding_reports_positive_info():
             method(table)
 
 
-@pytest.mark.parametrize("n", [9, 16, 25, 36, 225])
+@pytest.mark.parametrize("n", [16, 17, 25, 36, 225])
 def test_forced_fallback_matches_binding(monkeypatch, n):
-    # a numpy without the bundled symbols takes the stacked kernel above ELIMINATION_LIMIT; at
-    # n = 9 and 16 both sides take the elimination tree, so those cases do not reach the fallback
+    # a numpy without the bundled symbols takes the stacked kernel above ELIMINATION_LIMIT, so 17 is
+    # the smallest n it serves; at n = 16 both sides take the elimination tree, which must not read the binding
     params = _large_params(n)
     table = _pair_table(5, n, 4)
     f, g = ResolventTraceFunction(params).evaluate_block_with_g(table)
@@ -708,8 +724,8 @@ def test_forced_fallback_matches_binding(monkeypatch, n):
 
 @pytest.mark.parametrize(
     "n, fallback",
-    [(16, False), (25, False), (225, False), (16, True), (25, True), (225, True)],
-    ids=["16", "25", "225", "fallback-16", "fallback-25", "fallback-225"],
+    [(16, False), (25, False), (225, False), (17, True), (25, True), (225, True)],
+    ids=["16", "25", "225", "fallback-17", "fallback-25", "fallback-225"],
 )
 def test_f_only_equals_f_of_pair_path(monkeypatch, n, fallback):
     # f alone skips the flip sweep's tail and reads the diagonal that the (f, g) path reads;

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from paircert.sampling import MAX_SIGNS, all_ones, flip, pair_product, sample, splitmix64
+from paircert.sampling import MAX_SIGNS, all_ones, flip, pack_keys, pair_product, sample, splitmix64, unpack_keys
 
 _MASK = (1 << 64) - 1
 
@@ -143,3 +143,14 @@ def test_sampleset_immutable():
     s = sample(3, 3, 1)
     with pytest.raises(ValueError):
         s[0, 0] = 1
+
+
+@pytest.mark.parametrize("n", [1, 9, 64, 65, 130])
+def test_keys_pack_minus_signs_one_item_a_row(n):
+    # bit k of a key is coordinate k's -1, in little-endian uint64 words: one uint64 item a row up to
+    # n = 64, the bytes of its words past it; unpack_keys inverts it
+    table = np.concatenate([all_ones(n)[None], sample(40, n, 3)])
+    keys = pack_keys(table)
+    assert keys.shape == (41,) and keys.dtype == (np.dtype("<u8") if n <= 64 else np.dtype(f"V{8 * -(-n // 64)}"))
+    assert [int.from_bytes(key.tobytes(), "little") for key in keys] == [sum(1 << int(k) for k in np.flatnonzero(row < 0)) for row in table]
+    assert unpack_keys(keys, n).tolist() == table.tolist()
