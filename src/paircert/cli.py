@@ -32,6 +32,7 @@ from . import functions
 from .estimator import (
     SCHEMA_VERSION,
     EvalCounters,
+    _takes_cube,
     certify,
     certify_dominated,
     choose_p,
@@ -123,14 +124,19 @@ def _certify_resolvent(args: argparse.Namespace, params: ResolventParams):
         if p * fn.n > MAX_SIGNS:  # before the preview, whose figures would run to hundreds of digits
             raise ValueError(f"--delta {args.delta} picks p={float(p):.3g}, whose p*n signs exceed the {MAX_SIGNS} size budget")
         evaluations = p * (p - 1) // 2 + 1
-        # the sweep factors each distinct key once: all-ones and the distinct pair products, at most 2^n in all
-        factored = min(evaluations, 2**fn.n)
+        # the sweep factors each distinct key once: all-ones and the distinct pair products, at most 2^n in all.
+        # Where that many keys would take the cube, it factors the 2^n masks for f alone instead, so the
+        # preview prices the path the sweep takes on its most keys: 2^n rows at the f-only rate, or each
+        # key at the (f, g) rate. A sweep whose keys fall short of the cube takes the tree near the
+        # crossover, where the two cost about the same.
+        keys = min(evaluations, 2**fn.n)
+        factored, evaluate = (2**fn.n, fn.evaluate_block) if _takes_cube(fn.n, keys) else (keys, fn.evaluate_block_with_g)
         # fastest of three calls on a block as the sweep forms them: a cold call or a lone row overstates the
         # run, and equal rows understate it, since the elimination tree folds them into one leaf
         table = unpack_keys(np.arange(min(fn.block_size, factored), dtype="<u8"), fn.n)
-        per_eval = min(timeit.repeat(lambda: fn.evaluate_block_with_g(table), number=1, repeat=3)) / len(table)
+        per_eval = min(timeit.repeat(lambda: evaluate(table), number=1, repeat=3)) / len(table)
         estimate = per_eval * factored
-        print(f"target width {args.delta}: p={p}, {evaluations} combined evaluations, of which at most {factored} rows are factored: estimated {estimate:.1f}s", file=sys.stderr)
+        print(f"target width {args.delta}: p={p}, {evaluations} combined evaluations, of which at most {factored} rows are factored: estimated {estimate:.3f}s", file=sys.stderr)
         if p * p > PAIR_BUDGET_WARN and not args.yes:
             raise ValueError(f"--delta {args.delta} picks p={p}, which implies {p * p} pair evaluations (> {PAIR_BUDGET_WARN}); pass --yes to proceed")
     return _timed(certify, fn, p, args.seed, threads=args.threads)

@@ -27,9 +27,20 @@ size, by the evaluator that also enumerates the oracle's 2^n keys, and
 each value is weighted by its count. That size
 is `BernoulliFunction.block_size`: block_rows(n) for a stacked (k, n, n)
 kernel, and more rows for the resolvent's elimination tree, whose cost is
-mostly fixed work per block; a disc takes the smaller of its two. The
-sweep counts the distinct keys it evaluates: that is its factorization
-counter. A value's bits do not depend on its chunk. Each count is split
+mostly fixed work per block; a disc takes the smaller of its two.
+
+At n <= ELIMINATION_LIMIT an interval whose distinct keys reach
+CUBE_SHARE * 2^n takes the cube instead: f alone at all 2^n masks, the
+oracle's own pass, and each key's g read off those values as the flip
+half-sum, summed in naive_g's order. Every flipped neighbour is a mask,
+and an f-only row costs a fraction of an (f, g) row, whose g takes
+Takahashi's recurrence over the row's pivots. Since f has each row's own
+bits, g is then naive_g's bit for bit, and the rule depends on (n, keys)
+alone, so the path does not depend on the thread count. The sweep counts
+the rows it evaluates, the distinct keys or the 2^n masks: that is its
+factorization counter.
+
+A value's bits do not depend on its chunk. Each count is split
 into its binary digits, and math.fsum sums the terms v * 2^k, one per set
 digit k: scaling by a power of two is exact, so these terms have the exact
 sum of every pair's value, and fsum returns that sum exactly rounded. The weighted sums
@@ -50,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import BernoulliFunction, FactorizationError
+from .functions import ELIMINATION_LIMIT, BernoulliFunction, FactorizationError
 from .sampling import pack_keys, sample, unpack_keys
 
 SCHEMA_VERSION = 1
@@ -61,9 +72,10 @@ NUMERICAL_SLACK = 1e-8
 class EvalCounters:
     """Cost accounting: evaluations, the p(p-1)/2 + 1 rows the certificate
     averages (the pairs and all-ones), and factorizations, one per function
-    swept for each distinct key the pair sweep evaluates: all-ones and the
-    distinct pair products, all-ones once even where it is also a pair product.
-    Both follow from the inputs, so equal runs give equal counters. Wall time
+    swept for each row the pair sweep evaluates: each distinct key, that is
+    all-ones and the distinct pair products, all-ones once even where it is
+    also a pair product, or each of the 2^n masks where an interval takes the
+    cube. Both follow from the inputs, so equal runs give equal counters. Wall time
     is the caller's to take; the JSON keeps `wall_ms` as null, as schema 1
     requires."""
 
@@ -199,27 +211,38 @@ def _pair_multiset(signs: np.ndarray):
     its distinct rows as 1-D keys (sampling.pack_keys), and how often each
     occurs. All-ones is key 0, which the distinct set starts with at count 0.
     The keys are formed row by row of the pair triangle, as XORs of the rows'
-    words, and once KEY_BUFFER of them are pending, np.unique reduces them to
-    distinct keys with counts, and a stable sort merges those into the
-    distinct set. The keys come out distinct and strictly increasing in
-    their items' order (uint64 words when n <= 64, else bytes), key 0 first.
+    words, and once KEY_BUFFER of them are pending they are counted. Where
+    the pairs are at least the 2^n masks, at n <= ELIMINATION_LIMIT (a
+    tally of at most 512 KiB), np.bincount adds them to a tally of the
+    masks, with no sort. Else np.unique reduces them to distinct keys with
+    counts, and a stable sort merges those into the distinct set. The keys
+    come out distinct and strictly increasing in their items' order (uint64
+    words when n <= 64, else bytes), key 0 first.
     """
-    p = len(signs)
+    p, n = signs.shape
     rows = pack_keys(signs)
     words = rows.view("<u8").reshape(p, -1)
+    tally = np.zeros(2**n, dtype=np.int64) if n <= ELIMINATION_LIMIT and p * (p - 1) // 2 >= 2**n else None
     keys, counts = np.zeros(1, dtype=rows.dtype), np.zeros(1, dtype=np.int64)
     pending, held = [], 0
     for i in range(p - 1):
         pending.append(words[i] ^ words[i + 1:])
         held += p - 1 - i
         if held >= KEY_BUFFER or i == p - 2:
-            fresh, fresh_counts = np.unique(np.concatenate(pending).view(rows.dtype)[:, 0], return_counts=True)
+            fresh = np.concatenate(pending).view(rows.dtype)[:, 0]
+            pending, held = [], 0
+            if tally is not None:
+                tally += np.bincount(fresh.view(np.int64), minlength=len(tally))
+                continue
+            fresh, fresh_counts = np.unique(fresh, return_counts=True)
             keys, counts = np.concatenate([keys, fresh]), np.concatenate([counts, fresh_counts])
             order = np.argsort(keys, kind="stable")  # equal keys become adjacent
             keys, counts = keys[order], counts[order]
             starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
             keys, counts = keys[starts], np.add.reduceat(counts, starts)
-            pending, held = [], 0
+    if tally is not None:
+        keys = np.flatnonzero(np.r_[True, tally[1:] > 0]).astype(rows.dtype)
+        counts = tally[keys]
     return keys, counts
 
 
@@ -242,7 +265,37 @@ def _evaluate_keys(evaluate_block, keys: np.ndarray, n: int, threads: int, size:
     return tuple(np.concatenate(parts) for parts in zip(*(swept[k % threads][k // threads] for k in range(chunks))))
 
 
-def _pair_sweep(evaluate_block, signs: np.ndarray, swept: int, threads: int, size: int, names=("f", "g")):
+# A certificate at n <= ELIMINATION_LIMIT takes f at every mask of the cube, and each key's g from it,
+# once its distinct keys reach CUBE_SHARE * 2^n (_takes_cube). At one BLAS thread the cube measured
+# faster from 16 keys at n = 9, about 271 at n = 12 and between 3,889 and 4,314 at n = 16 (4,096 here,
+# one tree block, so a sweep short of the cube at n = 16 never reaches a second thread).
+CUBE_SHARE = 1 / 16
+
+
+def _takes_cube(n: int, keys: int) -> bool:
+    """Whether a certificate sweep over `keys` distinct keys at dimension n takes the cube: a rule on
+    (n, keys) alone, so the path, and with it every bit, is the same at any thread count."""
+    return n <= ELIMINATION_LIMIT and keys >= CUBE_SHARE * 2**n
+
+
+def _every_mask(evaluate_block, n: int, threads: int, size: int) -> np.ndarray:
+    """evaluate_block(table) -> array at every sign vector of dimension n, in mask order (the one-word
+    keys of sampling.pack_keys), in chunks of `size` dealt to `threads` by _evaluate_keys."""
+    return _evaluate_keys(lambda table: (evaluate_block(table),), np.arange(2**n, dtype="<u8"), n, threads, size)[0]
+
+
+def _flip_half_sums(f: np.ndarray, keys: np.ndarray, n: int) -> np.ndarray:
+    """g(key) = 1/2 * sum_r (f(key) - f(key ^ 2^r)) at each one-word key, from f at every mask. The
+    terms are summed r = 0..n-1 as naive_g sums them, so where f holds the bits of one-row calls, as a
+    split-invariant evaluator's do, each g is naive_g's bit for bit."""
+    at = f[keys]
+    acc = np.zeros(len(keys), dtype=np.result_type(at, 0.0))
+    for r in range(n):
+        acc += at - f[keys ^ np.uint64(1 << r)]
+    return 0.5 * acc
+
+
+def _pair_sweep(evaluate_block, signs: np.ndarray, swept: int, threads: int, size: int, names=("f", "g"), f_only=None):
     """Per-component pair-product averages of evaluate_block(table) -> tuple
     of arrays over the rows of a (p, n) sign table, the values at all-ones,
     and the counters of a sweep that takes `swept` functions on each row.
@@ -250,14 +303,23 @@ def _pair_sweep(evaluate_block, signs: np.ndarray, swept: int, threads: int, siz
     Each key of _pair_multiset, all-ones first, is evaluated once, in
     blocks of `size` (_evaluate_keys), and weighted by its count
     (_weighted_sum), so each average is bit for bit the one over every
-    pair. The sweep counts the p(p-1)/2 + 1 evaluations the certificate
-    averages and one factorization per function swept for each distinct
-    key it evaluates. A weighted sum that leaves the float range raises
-    OverflowError naming its component, from `names`, and p.
+    pair. Given `f_only`, an f-only block evaluator whose flip half-sum is
+    the second component, a key set that takes the cube (_takes_cube)
+    instead evaluates f_only at all 2^n masks (_every_mask) and reads
+    each key's (f, g) off them (_flip_half_sums). The sweep counts the
+    p(p-1)/2 + 1 evaluations the certificate averages and one
+    factorization per function swept for each row it evaluates: each
+    distinct key, or each mask of the cube. A weighted sum that leaves
+    the float range raises OverflowError naming its component, from
+    `names`, and p.
     """
     p, n = signs.shape
     keys, counts = _pair_multiset(signs)
-    values = _evaluate_keys(evaluate_block, keys, n, threads, size)
+    if f_only is not None and _takes_cube(n, len(keys)):
+        f = _every_mask(f_only, n, threads, size)
+        values, rows = (f[keys], _flip_half_sums(f, keys, n)), len(f)
+    else:
+        values, rows = _evaluate_keys(evaluate_block, keys, n, threads, size), len(keys)
     ones = tuple(v[0].item() for v in values)
     square = float(p) * float(p)
 
@@ -268,7 +330,7 @@ def _pair_sweep(evaluate_block, signs: np.ndarray, swept: int, threads: int, siz
             raise OverflowError(f"the pair sum of {name} over p={p} samples leaves the float range") from None
 
     averages = tuple(average(v, one, name) for v, one, name in zip(values, ones, names, strict=True))
-    return averages, ones, EvalCounters(evaluations=p * (p - 1) // 2 + 1, factorizations=len(keys) * swept)
+    return averages, ones, EvalCounters(evaluations=p * (p - 1) // 2 + 1, factorizations=rows * swept)
 
 
 def markov_apriori(c: float, p: int) -> float:
@@ -310,7 +372,7 @@ def certify(fn: BernoulliFunction, p: int, seed: int, threads: int = 1) -> Certi
     checked here (it is a structural property of the function; see the
     oracle module for small-n verification).
     """
-    (f_bar, g_bar), (_, g_one), counters = _pair_sweep(fn.evaluate_block_with_g, sample(p, fn.n, seed), 1, threads, fn.block_size)
+    (f_bar, g_bar), (_, g_one), counters = _pair_sweep(fn.evaluate_block_with_g, sample(p, fn.n, seed), 1, threads, fn.block_size, f_only=fn.evaluate_block)
     cert = Certificate(f_bar=f_bar, g_bar=g_bar, p=p, seed=seed, g_at_ones=g_one, c_bound=fn.bounded_difference_constant, counters=counters)
     if not cert.lower <= cert.upper:
         raise FactorizationError(f"numerical breakdown: g_bar={g_bar!r} leaves the empty interval [{cert.lower!r}, {cert.upper!r}]")

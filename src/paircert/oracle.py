@@ -5,7 +5,8 @@ Conventions, fixed so every transform is reproducible:
   * subset <-> bitmask: bit k of mask S set  <=>  coordinate k+1 in S;
   * enumeration order: sign vector number `mask` has eps_{k+1} = -1
     exactly when bit k of `mask` is set (so vector 0 is all ones). A mask
-    is the pair sweep's one-word key, evaluated by estimator._evaluate_keys.
+    is the pair sweep's one-word key, and estimator._every_mask evaluates
+    every mask, for the oracle as for a certificate that takes the cube.
 
 With values listed in that order, one unnormalized Walsh-Hadamard
 transform maps coefficients to values, and the same transform divided
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import _evaluate_keys, _weighted_sum
+from .estimator import _every_mask, _weighted_sum
 from .functions import BernoulliFunction
 
 # the largest n enumerated: 2^16 evaluations, as `paircert oracle` on torus:4
@@ -87,7 +88,7 @@ def _enumerate_values(fn: BernoulliFunction) -> np.ndarray:
     total = 1 << n
     if n > ENUMERATION_LIMIT:
         raise BudgetError(f"enumeration at n={n} needs 2^{n} = {total} evaluations; the budget stops at n={ENUMERATION_LIMIT}")
-    return _evaluate_keys(lambda table: (fn.evaluate_block(table),), np.arange(total, dtype="<u8"), n, threads=1, size=fn.block_size)[0]
+    return _every_mask(fn.evaluate_block, n, threads=1, size=fn.block_size)
 
 
 def _exact_mean(values: np.ndarray) -> float | complex:

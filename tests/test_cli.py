@@ -402,12 +402,17 @@ def test_delta_small_runs_without_yes(capsys):
 def test_delta_preview_times_distinct_rows(capsys, monkeypatch, side):
     # the elimination tree folds equal rows into one leaf, so a block of equal rows timed it about
     # 10x low at n = 16; the preview times distinct rows at the function's own block size, and
-    # that block is the first evaluated
+    # that block is the first evaluated. At p = 201 torus:3 and torus:4 take the cube, whose 2^n
+    # rows the preview times f-only, and torus:5 (n = 25) takes (f, g) on its keys
     tables = []
 
     class Recording(functions.ResolventTraceFunction):
+        def evaluate_block(self, table):
+            tables.append(("f", np.array(table)))
+            return super().evaluate_block(table)
+
         def evaluate_block_with_g(self, table):
-            tables.append(np.array(table))
+            tables.append(("f, g", np.array(table)))
             return super().evaluate_block_with_g(table)
 
     monkeypatch.setattr(cli, "ResolventTraceFunction", Recording)
@@ -415,20 +420,38 @@ def test_delta_preview_times_distinct_rows(capsys, monkeypatch, side):
     code, _, err = run_cli(capsys, argv)
     assert code == 0
     factored = int(re.search(r"at most (\d+) rows are factored", err).group(1))
-    size = functions.ResolventTraceFunction(functions.ResolventParams(1.0, 1.0, np.zeros((side * side, side * side)))).block_size
-    timed = tables[0]
+    n = side * side
+    assert factored == (2**n if n <= 16 else 201 * 200 // 2 + 1)
+    size = functions.ResolventTraceFunction(functions.ResolventParams(1.0, 1.0, np.zeros((n, n)))).block_size
+    path, timed = tables[0]
+    assert path == ("f" if n <= 16 else "f, g")
     assert len(timed) == min(size, factored) and len(np.unique(timed, axis=0)) == len(timed)
-    assert all(np.array_equal(table, timed) for table in tables[:3])
+    assert all(table == path and np.array_equal(rows, timed) for table, rows in tables[:3])
+    # and the sweep takes the path the preview timed
+    assert {table for table, _ in tables[3:]} == {path}
 
 
-def test_delta_preview_close_to_wall():
-    # the preview times the fastest of three calls; one cold call overstated the run several times
-    argv = ["certify", "--graph", "torus:3", "--lambda", "1", "--gamma", "1", "--delta", "0.05", "--seed", "4", "--threads", "1"]
+def _preview_and_wall_s(side: int, delta: str) -> tuple[float, float]:
+    argv = ["certify", "--graph", f"torus:{side}", "--lambda", "1", "--gamma", "1", "--delta", delta, "--seed", "4", "--threads", "1"]
     run = _run_subprocess(argv)
     assert run.returncode == 0
     err = run.stderr.decode()
     estimated = float(re.search(r"estimated ([0-9.]+)s", err).group(1))
-    wall_s = float(re.search(r"wall ([0-9.]+) ms", err).group(1)) / 1e3
+    return estimated, float(re.search(r"wall ([0-9.]+) ms", err).group(1)) / 1e3
+
+
+def test_delta_preview_close_to_wall():
+    # the preview times the fastest of three calls; one cold call overstated the run several times
+    estimated, wall_s = _preview_and_wall_s(3, "0.05")
+    assert estimated <= 3 * wall_s
+
+
+@pytest.mark.parametrize("delta", ["0.05", "0.12"], ids=["cube", "tree"])
+def test_delta_preview_close_to_wall_on_each_side_of_the_cube(delta):
+    # at n = 16, p = 201 takes the cube, whose preview prices 2^16 rows at the f-only rate, and p = 84
+    # (3,487 pairs) the tree, whose preview prices each key at the (f, g) rate; priced at the (f, g)
+    # rate, the cube's 20,101 pairs read 0.1 s against a run of about 40 ms
+    estimated, wall_s = _preview_and_wall_s(4, delta)
     assert estimated <= 3 * wall_s
 
 

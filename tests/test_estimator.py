@@ -37,12 +37,13 @@ from paircert.functions import (
     SpectralTraceFunction,
     block_rows,
     dominating_resolvent_scale,
+    naive_g,
 )
 from paircert.graph import build_torus_cayley, laplacian
 from paircert.oracle import exact_expectation
-from paircert.sampling import all_ones, pair_product, sample
+from paircert.sampling import all_ones, pack_keys, pair_product, sample, unpack_keys
 
-from conftest import ConstantFunction, single_vertex_resolvent
+from conftest import Blocked, ConstantFunction, LambdaFunction, single_vertex_resolvent
 
 
 def test_p1_diagonal_only(torus3_params):
@@ -169,9 +170,11 @@ def test_pair_sweep_evaluates_each_distinct_pair_product_once(torus3_params, thr
 @pytest.mark.parametrize("buffer", [1, 7, estimator.KEY_BUFFER])
 def test_pair_multiset_counts_every_pair(monkeypatch, buffer):
     # however often pending keys merge into the distinct ones, no pair is lost or counted twice;
-    # n = 70 takes two words a key, and the repeated rows make its products repeat
+    # n = 70 takes two words a key, and the repeated rows make its products repeat. The pairs of
+    # p = 200 and 33 at n = 9 and of p = 12 at n = 4 outnumber the masks, which then tally them;
+    # at p = 33 (528 pairs) 167 masks occur once and 198 never
     monkeypatch.setattr(estimator, "KEY_BUFFER", buffer)
-    tables = [sample(200, 9, 4), sample(40, 16, 1), np.concatenate([sample(6, 70, 3)] * 3), sample(2, 1, 0), sample(1, 5, 0)]
+    tables = [sample(200, 9, 4), sample(33, 9, 1), sample(12, 4, 2), sample(40, 16, 1), np.concatenate([sample(6, 70, 3)] * 3), sample(2, 1, 0), sample(1, 5, 0)]
     # the key-width boundary: n = 64 fills one word, n = 65 puts one bit in a second (a key is two words' bytes)
     tables += [np.concatenate([sample(6, n, 3)] * 3) for n in (64, 65)]
     assert all(len(set(s[:, -1])) == 2 for s in tables[-2:])  # the last bit differs between pairs
@@ -271,15 +274,116 @@ def test_overflowing_pair_sum_names_its_sum_and_p():
 
 def test_factorizations_count_distinct_pair_products(torus3, torus3_params):
     # evaluations count every pair; factorizations count the distinct keys, per function swept:
-    # all-ones and each distinct product, all-ones once where it is also a product (p = 200)
+    # all-ones and each distinct product, all-ones once where it is also a product (p = 200). An
+    # interval whose keys reach 2^9 / 16 = 32 takes the cube and factors its 512 masks
     f1, f2 = dominating_resolvent_scale(AnalyticFunction.polynomial([0.0, 0.0, 1.0]), torus3_params, torus3)
     for p, seed, keys in ((200, 4, 512), (12, 3, 61), (2, 0, 2), (1, 0, 1)):
         assert len(_distinct_pair_products(sample(p, 9, seed)) | {all_ones(9).tobytes()}) == keys
         evaluations = p * (p - 1) // 2 + 1
         cert = certify(ResolventTraceFunction(torus3_params), p, seed, threads=2)
-        assert cert.counters == EvalCounters(evaluations=evaluations, factorizations=keys)
+        assert cert.counters == EvalCounters(evaluations=evaluations, factorizations=512 if keys >= 32 else keys)
         disc = certify_dominated(f1, GFunction(f2), p, seed, threads=2)
         assert disc.counters == EvalCounters(evaluations=evaluations, factorizations=2 * keys)
+
+
+def _int64(values) -> list:
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def test_cube_share_is_a_rule_on_n_and_keys():
+    # 2^n / 16 keys take the cube up to n = 16, where one tree block of 4,096 rows holds any fewer
+    assert estimator.CUBE_SHARE == 1 / 16 and estimator.ELIMINATION_LIMIT == 16
+    for n, keys, cube in ((9, 31, False), (9, 32, True), (16, 4095, False), (16, 4096, True), (17, 2**17, False), (3, 1, True)):
+        assert estimator._takes_cube(n, keys) == cube, (n, keys)
+
+
+def _recording_resolvent(params: ResolventParams) -> tuple[ResolventTraceFunction, dict]:
+    """A resolvent that adds the rows handed to each block evaluator to a tally."""
+    rows = {"f": 0, "f, g": 0}
+
+    class Recording(ResolventTraceFunction):
+        def evaluate_block(self, table):
+            rows["f"] += len(table)
+            return super().evaluate_block(table)
+
+        def evaluate_block_with_g(self, table):
+            rows["f, g"] += len(table)
+            return super().evaluate_block_with_g(table)
+
+    return Recording(params), rows
+
+
+@pytest.mark.parametrize(
+    "side, p, keys, cube",
+    [(3, 8, 29, False), (3, 9, 37, True), (4, 90, 3889, False), (4, 100, 4782, True)],
+    ids=["tree-9", "cube-9", "tree-16", "cube-16"],
+)
+def test_certify_takes_the_cube_past_its_share(side, p, keys, cube):
+    # on each side of 2^n / 16 keys: Takahashi's (f, g) on the keys, or f alone at every mask
+    params = ResolventParams(1.0, 1.0, laplacian(build_torus_cayley(side)))
+    n = params.n
+    assert len(estimator._pair_multiset(sample(p, n, 1))[0]) == keys
+    fn, rows = _recording_resolvent(params)
+    cert = certify(fn, p, 1, threads=2)
+    factored = 2**n if cube else keys
+    assert rows == ({"f": 2**n, "f, g": 0} if cube else {"f": 0, "f, g": keys})
+    assert cert.counters == EvalCounters(evaluations=p * (p - 1) // 2 + 1, factorizations=factored)
+    assert fn.factorization_count == factored
+
+
+def test_cube_g_is_naive_g_bit_for_bit_at_every_torus3_key():
+    # the cube reads g at each key off f at every mask in naive_g's own order, and the tree's f has
+    # each row's own bits, so g is the reference definition's bit for bit: at all 512 keys, and in
+    # the certificate, whose 512 keys at p = 200 are the whole cube
+    params = ResolventParams(1.3, 1.0, laplacian(build_torus_cayley(3)))
+    fn = ResolventTraceFunction(params)
+    keys = np.arange(512, dtype="<u8")
+    f = estimator._every_mask(fn.evaluate_block, 9, 1, fn.block_size)
+    g = estimator._flip_half_sums(f, keys, 9)
+    table = unpack_keys(keys, 9)
+    naive = np.array([naive_g(fn, eps) for eps in table])
+    assert _int64(g) == _int64(naive)
+    assert _int64(f) == _int64([fn.evaluate(eps) for eps in table])
+    s = sample(200, 9, 1)
+    multiset, counts = estimator._pair_multiset(s)
+    assert multiset.tolist() == keys.tolist()
+    cert = certify(fn, 200, 1)
+    assert _bits(cert.g_at_ones) == _bits(naive[0].item())
+    assert _bits(cert.g_bar) == _bits((200 * naive[0].item() + 2.0 * estimator._weighted_sum(naive, counts)) / (200.0 * 200.0))
+
+
+def test_cube_g_is_naive_g_for_any_function():
+    # a table of random values, whose flip sums round differently in another order: the cube's g,
+    # and the one (f, g) path of a plain BernoulliFunction, naive_g on each key, agree bit for bit
+    values = np.random.default_rng(3).standard_normal(512)
+    fn = LambdaFunction(9, lambda eps: float(values[pack_keys(eps[None])[0]]))
+    keys = np.arange(512, dtype="<u8")
+    g = estimator._flip_half_sums(estimator._every_mask(fn.evaluate_block, 9, 1, fn.block_size), keys, 9)
+    assert _int64(g) == _int64([naive_g(fn, eps) for eps in unpack_keys(keys, 9)])
+    s = sample(200, 9, 1)
+    cube = estimator._pair_sweep(fn.evaluate_block_with_g, s, 1, 1, fn.block_size, f_only=fn.evaluate_block)
+    keyed = estimator._pair_sweep(fn.evaluate_block_with_g, s, 1, 1, fn.block_size)
+    assert cube[2].factorizations == 512 and _int64(cube[0] + cube[1]) == _int64(keyed[0] + keyed[1])
+
+
+def test_cube_g_is_naive_g_bit_for_bit_on_a_torus4_sample():
+    params = ResolventParams(1.0, 1.0, laplacian(build_torus_cayley(4)))
+    fn = ResolventTraceFunction(params)
+    keys = np.unique(np.r_[0, 2**16 - 1, np.random.default_rng(5).integers(0, 2**16, 30)].astype("<u8"))
+    f = estimator._every_mask(fn.evaluate_block, 16, 3, fn.block_size)
+    assert _int64(estimator._flip_half_sums(f, keys, 16)) == _int64([naive_g(fn, eps) for eps in unpack_keys(keys, 16)])
+
+
+@pytest.mark.parametrize("side, p, sizes", [(3, 200, (1, 100, 512)), (4, 100, (1000, 65536))])
+def test_cube_certificates_equal_across_threads_and_blocks(side, p, sizes):
+    # f has each row's bits in any block on any thread, and g is read off f alone
+    fn = ResolventTraceFunction(ResolventParams(1.0, 1.0, laplacian(build_torus_cayley(side))))
+    base = certify(fn, p, 1)
+    assert base.counters.factorizations == 2 ** (side * side)
+    for threads in (1, 3):
+        assert certify(fn, p, 1, threads=threads) == base
+        for size in sizes:
+            assert certify(Blocked(fn, size), p, 1, threads=threads) == base, (threads, size)
 
 
 def test_thread_count_invariance(torus3, torus3_params):

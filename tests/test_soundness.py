@@ -128,7 +128,9 @@ def test_interval_holds_the_exact_mean(name, lam, gamma, p, seed):
     _interval_holds(name, lam, gamma, p, seed)
 
 
-@pytest.mark.parametrize("p", [20, 30])
+# p = 5 holds at most 11 keys, which take Takahashi's recurrence; p = 20 and 30 pass 2^9 / 16 = 32
+# keys and take the cube, where g is read off f at every mask
+@pytest.mark.parametrize("p", [5, 20, 30])
 @pytest.mark.parametrize("lam, gamma", TORUS_POINTS)
 def test_torus_interval_holds_the_exact_mean(lam, gamma, p):
     _interval_holds("torus:3", lam, gamma, p, 1)
