@@ -26,8 +26,9 @@ pair product are evaluated once, in chunks of the swept functions' block
 size, by the evaluator that also enumerates the oracle's 2^n keys, and
 each value is weighted by its count. That size
 is `BernoulliFunction.block_size`: block_rows(n) for a stacked (k, n, n)
-kernel, and more rows for the resolvent's elimination tree, whose cost is
-mostly fixed work per block; a disc takes the smaller of its two.
+kernel, and 4,096 rows for the resolvent's elimination tree, whose cost is
+mostly fixed work per block: a power of two, so each block of the 2^n masks
+is a run that skips the tree's sort. A disc takes the smaller of its two.
 
 At n <= ELIMINATION_LIMIT an interval whose distinct keys reach
 CUBE_SHARE * 2^n takes the cube instead: f alone at all 2^n masks, the

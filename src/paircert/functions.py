@@ -81,7 +81,8 @@ POWER_SUM_BUDGET = 2500
 # The resolvent takes the elimination tree (_eliminate) up to this n, oracle.ENUMERATION_LIMIT, and the
 # binding above it. Per row, one BLAS thread, in blocks of block_rows(n): the tree's f took 1.5 us
 # against the binding's 4.4 us on the sorted keys of a pair sweep at n = 16 (p = 200), and 0.9 us on
-# the oracle's masks; its (f, g) took 5.0 against 5.6 us there. The tree's cost grows with the rows'
+# the oracle's masks (0.26 us in its own blocks of 4,096, runs that skip its sort); its (f, g) took
+# 5.0 against 5.6 us there. The tree's cost grows with the rows'
 # distinct prefixes: on random rows at n = 16 its f took 5.2 us against 4.4 us, and at n = 25 3.1x
 # the binding's, while at n = 20 its (f, g) lost on the pair sweep's keys too (8.8 against 7.3 us).
 # The tree itself takes n <= 64, where a key is one uint64 word (see _eliminate), whatever this limit becomes.
@@ -316,14 +317,17 @@ def _eliminate(base: np.ndarray, lam: float, table: np.ndarray, with_g: bool):
     sign e of the next coordinate takes the pivot a = S_00 - lam*e, q = S[1:, 0]/a and
     S <- S[1:, 1:] - S[1:, 0] q^T; row 0 of L^-1 is then final, x, so c <- c + |x|^2/a, and each
     pending row i takes -q_i x. The Gram matrix of the pending rows is the trace weight W that makes
-    c + Tr(W S^-1) = Tr M^-1 at every depth. A level at which every node has both children, as each
-    level past the shared top bits of a run of consecutive masks does, builds them by broadcasting the
-    node over its two signs, sign +1 first as the sort leaves them; a level at which some node has
-    one child gathers each child's parent. The flip half-sum needs all of M^-1: from the last pivot
-    back, Takahashi's recurrence takes Z_j = [[1/a + q^T v, -v^T], [-v, Z_j+1]], v = Z_j+1 q, and
-    Z_0 = M^-1, over at most block_rows(n) leaves at a time, so its (leaves, n, n) stack stays
-    within BLOCK_ENTRIES in any block. Every value comes from its own row's operations in a fixed
-    order, so it has the same bits in any block.
+    c + Tr(W S^-1) = Tr M^-1 at every depth. A level at which every node has both children builds
+    them by broadcasting the node over its two signs, sign +1 first as key order leaves them; a
+    level at which some node has one child gathers each child's parent. A run, k = 2^j consecutive
+    masks from a multiple of k as each block of the 2^n masks is, needs no sort: its rows are
+    distinct and in key order already, so they are its leaves, its top n-j bits are one node's, and
+    below that every node has both children, node i of depth d holding the rows from i*2^(n-d) on.
+    The flip half-sum needs all of M^-1: from the last pivot back, Takahashi's recurrence takes
+    Z_j = [[1/a + q^T v, -v^T], [-v, Z_j+1]], v = Z_j+1 q, and Z_0 = M^-1, over at most
+    block_rows(n) leaves at a time, so its (leaves, n, n) stack stays within BLOCK_ENTRIES in any
+    block. Every value comes from its own row's operations in a fixed order, the same on a run as
+    on the sorted path, so it has the same bits in any block.
 
     Domain: n <= 64, where a key is one uint64 word. A row opens a node at depth d where its key
     and the previous row's differ in their top d bits, an exact integer test.
@@ -332,8 +336,10 @@ def _eliminate(base: np.ndarray, lam: float, table: np.ndarray, with_g: bool):
     _check_length(table, n)
     if not (np.abs(table) == 1).all():  # rows share a node by their signs alone
         raise ValueError("sign vector entries must be -1 or +1")
-    if k > 1:
-        key = pack_keys(table)  # coordinate n-1 the leading bit
+    key = pack_keys(table)  # coordinate n-1 the leading bit
+    # a run, k = 2^j consecutive masks from a multiple of k: one node down to depth top = n - j, both children below
+    aligned, top = k & (k - 1) == 0 and int(key[0]) % k == 0 and (np.diff(key) == 1).all(), n + 1 - k.bit_length()
+    if not aligned:
         order = np.argsort(key, kind="stable")
         key = key[order]
         # fresh[d, i]: sorted row i opens a node of depth d, as its top d bits differ from row i-1's
@@ -350,9 +356,12 @@ def _eliminate(base: np.ndarray, lam: float, table: np.ndarray, with_g: bool):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for d in range(n):
             children = 1
-            if k > 1 and node[d + 1, -1] > node[d, -1]:  # a node branches
+            if aligned:
+                if d >= top:  # node i's children are 2i and 2i+1, sign +1 first
+                    starts, children = np.arange(0, k, k >> (d + 1 - top)), 2
+            elif node[d + 1, -1] > node[d, -1]:  # a node branches
                 starts = np.flatnonzero(fresh[d + 1])
-                if len(starts) == 2 * len(a):  # every node has both: node i's are 2i and 2i+1, sign -1 first
+                if len(starts) == 2 * len(a):  # every node has both, as in a run
                     children = 2
                 else:
                     parent = node[d, starts]
@@ -370,8 +379,8 @@ def _eliminate(base: np.ndarray, lam: float, table: np.ndarray, with_g: bool):
     if not (pivots > 0.0).all():
         bad = pivots[~(pivots > 0.0)][0]
         raise FactorizationError(f"elimination pivot {bad!r} is not positive; matrix is not positive definite")
-    leaf = np.zeros(1, dtype=np.intp)
-    if k > 1:
+    leaf = slice(None)  # a run's leaves are its rows
+    if not aligned:
         leaf = np.empty(k, dtype=np.intp)
         leaf[order] = node[n]
     if not with_g:
@@ -383,8 +392,8 @@ def _eliminate(base: np.ndarray, lam: float, table: np.ndarray, with_g: bool):
         z = np.empty((len(starts[chunk]), n, n))
         for d in range(n - 1, -1, -1):
             pivot, q = steps[d]
-            if len(pivot) < leaves:
-                ancestor = node[d + 1, starts[chunk]]
+            if len(pivot) < leaves:  # the leaves' ancestors at depth d+1
+                ancestor = starts[chunk] >> (n - d - 1) if aligned else node[d + 1, starts[chunk]]
                 pivot, q = pivot[ancestor], q[ancestor]
             else:
                 pivot, q = pivot[chunk], q[chunk]
@@ -468,13 +477,14 @@ class ResolventTraceFunction(_BlockKernel):
 
     @property
     def block_size(self) -> int:
-        """block_rows(n) for the binding; for the elimination tree BLOCK_ENTRIES // (2n) rows, 4,096
-        at n = 16, 8x a stacked block there. The tree keeps no (k, n, n) stack on its f path, and its
-        cost is mostly fixed work per block, a sort and n levels of numpy calls: one pass over the
-        oracle's 2^16 masks took a median 59 ms in blocks of 512 and 23 ms in blocks of 4,096 (one
-        BLAS thread, 2-vCPU host). Larger blocks gained little, and one block of all 2^16 masks
-        doubled the pass's peak memory."""
-        return BLOCK_ENTRIES // (2 * self.n) if self.n <= ELIMINATION_LIMIT else block_rows(self.n)
+        """block_rows(n) for the binding; for the elimination tree BLOCK_ENTRIES // (2 * ELIMINATION_LIMIT)
+        = 4,096 rows at every n <= 16, 8x a stacked block at n = 16. The tree keeps no (k, n, n) stack
+        on its f path, and its cost is mostly fixed work per block, n levels of numpy calls: one pass
+        over the oracle's 2^16 masks took a median 59 ms in blocks of 512 and 23 ms in blocks of
+        4,096, each sorted, and 17 ms once its blocks, a power of two long, were runs that skip the
+        sort (one BLAS thread, 2-vCPU host). Larger blocks gained little, and one block of all 2^16
+        masks doubled the pass's peak memory."""
+        return BLOCK_ENTRIES // (2 * ELIMINATION_LIMIT) if self.n <= ELIMINATION_LIMIT else block_rows(self.n)
 
     @property
     def bounded_difference_constant(self) -> float:

@@ -422,7 +422,7 @@ def test_pair_sweep_submits_one_task_per_extra_block(monkeypatch, torus3_params)
     fn = RecordingResolvent(torus3_params)
     estimator._pair_sweep(fn.evaluate_block_with_g, s, 1, 1, fn.block_size)
     assert submitted == []
-    # the 29 distinct of the 36 pair products, all-ones among them, in one chunk: the tree's 7,281 rows at n = 9 hold them all
+    # the 29 distinct of the 36 pair products, all-ones among them, in one chunk: the tree's 4,096 rows at n = 9 hold them all
     distinct = {(s[i] * s[j]).tobytes() for i in range(9) for j in range(i + 1, 9)}
     assert len(distinct) == 29 and all_ones(9).tobytes() in distinct
     assert callers == [(threading.get_ident(), 29)]

@@ -617,14 +617,17 @@ def test_cube_flip_half_sums_match_40_digit_reference():
 
 
 def test_elimination_tree_bits_for_any_rows():
-    # all 2^9 rows in one block and in blocks of 3, each against its single-row values, then shuffled
-    # and with duplicates
+    # all 2^9 rows in one block, a run of masks, and in blocks of 3, each against its single-row
+    # values; then shuffled, with duplicates, and two near-runs that take the sorted path: masks 511
+    # down to 0, and an aligned run of 256 whose first row is repeated in place of its last
     fn = ResolventTraceFunction(ResolventParams(1.5, 0.75, laplacian(build_torus_cayley(3))))
     assert fn.block_size >= 512
     every = 1 - 2 * ((np.arange(512)[:, None] >> np.arange(9)) & 1).astype(np.int8)
     single = np.array(assert_same_bits_for_any_split(fn, every, (3,), with_g=True)).T
     rows = np.random.default_rng(4).permutation(512)
-    for index in (rows, np.concatenate([rows[:40], rows[:40], rows[7:9], [5, 5, 5]])):
+    repeated = np.arange(256, 512)
+    repeated[-1] = repeated[0]
+    for index in (rows, np.concatenate([rows[:40], rows[:40], rows[7:9], [5, 5, 5]]), np.arange(511, -1, -1), repeated):
         f, g = fn.evaluate_block_with_g(every[index])
         assert f.tolist() == single[index, 0].tolist() and g.tolist() == single[index, 1].tolist()
         assert fn.evaluate_block(every[index]).tolist() == single[index, 0].tolist()
@@ -642,6 +645,16 @@ def test_elimination_tree_bits_in_its_own_block():
     for table in (unpack_keys(np.arange(5 * 4096, 6 * 4096, dtype="<u8"), 16), random_rows):
         assert len(table) == fn.block_size
         assert_same_bits_for_any_split(fn, table, (), with_g=True)
+
+
+def test_elimination_tree_near_runs_take_the_sorted_path():
+    # consecutive masks that are not a run at n = 12: masks 0-2,999, whose length is not a power of
+    # two, and 512 masks from 100, not a multiple of 512; a run's shape would misplace their rows
+    fn = ResolventTraceFunction(_large_params(12))
+    table = unpack_keys(np.arange(3000, dtype="<u8"), 12)
+    f, g = assert_same_bits_for_any_split(fn, table, (), with_g=True)
+    assert fn.evaluate_block(table[100:612]).tolist() == f[100:612].tolist()
+    assert [part.tolist() for part in fn.evaluate_block_with_g(table[100:612])] == [f[100:612].tolist(), g[100:612].tolist()]
 
 
 def test_elimination_tree_refuses_non_signs():

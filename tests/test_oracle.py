@@ -14,7 +14,7 @@ from paircert.functions import (
     dominating_resolvent_scale,
     naive_g,
 )
-from paircert.graph import build_torus_cayley, laplacian
+from paircert.graph import build_torus_cayley, from_edge_list, laplacian
 from paircert.oracle import (
     BudgetError,
     WalshSpectrum,
@@ -25,6 +25,7 @@ from paircert.oracle import (
     exact_expectation,
     walsh_spectrum,
 )
+from paircert.sampling import pack_keys, unpack_keys
 
 from conftest import Blocked, ConstantFunction, LambdaFunction, random_connected_graph, single_vertex_resolvent
 
@@ -210,17 +211,27 @@ def test_spectrum_immutable(torus3_params):
 
 
 def test_oracle_takes_the_elimination_trees_block():
-    # at n = 16 the oracle makes 2^16 / 4,096 kernel calls, one per block of the tree's size
-    sizes = []
+    # the oracle makes 2^n / 4,096 kernel calls, one per block of the tree's size, and each block is a
+    # run: 4,096 consecutive masks from a multiple of 4,096. At n = 13, on the circulant C13(1, 2), the
+    # two blocks' values are those of the same masks shuffled in one call, which takes the sorted path
+    blocks = []
 
     class Recording(ResolventTraceFunction):
         def evaluate_block(self, table):
-            sizes.append(len(table))
+            blocks.append(pack_keys(table))
             return super().evaluate_block(table)
 
-    fn = Recording(ResolventParams(1.0, 1.0, laplacian(build_torus_cayley(4))))
-    exact_expectation(fn)
-    assert fn.block_size == 4096 and sizes == [fn.block_size] * ((1 << 16) // fn.block_size)
+    circulant = from_edge_list("13\n" + "\n".join(f"{i} {(i + o) % 13}" for i in range(13) for o in (1, 2)))
+    for graph in (build_torus_cayley(4), circulant):
+        n = graph.n
+        blocks.clear()
+        fn = Recording(ResolventParams(1.0, 1.0, laplacian(graph)))
+        values = _enumerate_values(fn)
+        assert fn.block_size == 4096 and len(blocks) == (1 << n) // fn.block_size
+        assert all(keys.tolist() == list(range(int(keys[0]), int(keys[0]) + 4096)) and keys[0] % 4096 == 0 for keys in blocks)
+    shuffled = np.random.default_rng(13).permutation(1 << 13)
+    alone = ResolventTraceFunction(fn.params).evaluate_block(unpack_keys(shuffled.astype("<u8"), 13))
+    assert values[shuffled].view(np.int64).tolist() == alone.view(np.int64).tolist()
 
 
 def test_oracle_bits_do_not_depend_on_the_split():
