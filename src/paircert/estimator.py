@@ -20,26 +20,28 @@ function g2 with nonnegative coefficients dominates it coefficientwise,
 average over the same pairs, so one sweep evaluates f1 and g2 on each block.
 
 F and G depend on the pair products only as a multiset, and when
-p(p-1)/2 exceeds 2^n it repeats rows. Each row is keyed by its -1
-entries (sampling.pack_keys), so all-ones is key 0; it and each distinct
-pair product are evaluated once, in chunks of the swept functions' block
-size, by the evaluator that also enumerates the oracle's 2^n keys, and
-each value is weighted by its count. That size
-is `BernoulliFunction.block_size`: block_rows(n) for a stacked (k, n, n)
+p(p-1)/2 exceeds 2^n it repeats rows. Each certificate composes three
+parts. _pair_multiset keys each row by its -1 entries (sampling.pack_keys),
+so all-ones is key 0, and counts each key. _evaluate_keys, the evaluator
+that also enumerates the oracle's 2^n keys, evaluates all-ones and each
+distinct pair product once, in chunks of the swept functions' block size,
+`BernoulliFunction.block_size`: block_rows(n) for a stacked (k, n, n)
 kernel, and 4,096 rows for the resolvent's elimination tree, whose cost is
 mostly fixed work per block: a power of two, so each block of the 2^n masks
 is a run that skips the tree's sort. A disc takes the smaller of its two.
+_pair_average weights each value by its count, one call per component.
 
-At n <= ELIMINATION_LIMIT an interval whose distinct keys reach
-CUBE_SHARE * 2^n takes the cube instead: f alone at all 2^n masks, the
-oracle's own pass, and each key's g read off those values as the flip
-half-sum, summed in naive_g's order. Every flipped neighbour is a mask,
-and an f-only row costs a fraction of an (f, g) row, whose g takes
-Takahashi's recurrence over the row's pivots. Since f has each row's own
-bits, g is then naive_g's bit for bit, and the rule depends on (n, keys)
-alone, so the path does not depend on the thread count. The sweep counts
-the rows it evaluates, the distinct keys or the 2^n masks: that is its
-factorization counter.
+Only certify's g is the flip half-sum of its f, so only certify takes the
+cube: at n <= ELIMINATION_LIMIT an interval whose distinct keys reach
+CUBE_SHARE * 2^n evaluates f alone at all 2^n masks, the oracle's own
+pass, and reads each key's g off those values as the flip half-sum,
+summed in naive_g's order. Every flipped neighbour is a mask, and an
+f-only row costs a fraction of an (f, g) row, whose g takes Takahashi's
+recurrence over the row's pivots. Since f has each row's own bits, g is
+then naive_g's bit for bit, and the rule depends on (n, keys) alone, so
+the path does not depend on the thread count. Each certificate counts the
+rows it evaluates, the distinct keys or the 2^n masks, times the functions
+it evaluates on each: that is its factorization counter.
 
 A value's bits do not depend on its chunk. Each count is split
 into its binary digits, and math.fsum sums the terms v * 2^k, one per set
@@ -73,7 +75,7 @@ NUMERICAL_SLACK = 1e-8
 class EvalCounters:
     """Cost accounting: evaluations, the p(p-1)/2 + 1 rows the certificate
     averages (the pairs and all-ones), and factorizations, one per function
-    swept for each row the pair sweep evaluates: each distinct key, that is
+    swept for each row the certificate evaluates: each distinct key, that is
     all-ones and the distinct pair products, all-ones once even where it is
     also a pair product, or each of the 2^n masks where an interval takes the
     cube. Both follow from the inputs, so equal runs give equal counters. Wall time
@@ -266,15 +268,16 @@ def _evaluate_keys(evaluate_block, keys: np.ndarray, n: int, threads: int, size:
     return tuple(np.concatenate(parts) for parts in zip(*(swept[k % threads][k // threads] for k in range(chunks))))
 
 
-# A certificate at n <= ELIMINATION_LIMIT takes f at every mask of the cube, and each key's g from it,
+# certify at n <= ELIMINATION_LIMIT takes f at every mask of the cube, and each key's g from it,
 # once its distinct keys reach CUBE_SHARE * 2^n (_takes_cube). At one BLAS thread the cube measured
 # faster from 16 keys at n = 9, about 271 at n = 12 and between 3,889 and 4,314 at n = 16 (4,096 here,
-# one tree block, so a sweep short of the cube at n = 16 never reaches a second thread).
+# one tree block, so an interval short of the cube at n = 16 never reaches a second thread; a disc,
+# swept in blocks of its smaller block size, can).
 CUBE_SHARE = 1 / 16
 
 
 def _takes_cube(n: int, keys: int) -> bool:
-    """Whether a certificate sweep over `keys` distinct keys at dimension n takes the cube: a rule on
+    """Whether certify's sweep over `keys` distinct keys at dimension n takes the cube: a rule on
     (n, keys) alone, so the path, and with it every bit, is the same at any thread count."""
     return n <= ELIMINATION_LIMIT and keys >= CUBE_SHARE * 2**n
 
@@ -296,42 +299,15 @@ def _flip_half_sums(f: np.ndarray, keys: np.ndarray, n: int) -> np.ndarray:
     return 0.5 * acc
 
 
-def _pair_sweep(evaluate_block, signs: np.ndarray, swept: int, threads: int, size: int, names=("f", "g"), f_only=None):
-    """Per-component pair-product averages of evaluate_block(table) -> tuple
-    of arrays over the rows of a (p, n) sign table, the values at all-ones,
-    and the counters of a sweep that takes `swept` functions on each row.
-
-    Each key of _pair_multiset, all-ones first, is evaluated once, in
-    blocks of `size` (_evaluate_keys), and weighted by its count
-    (_weighted_sum), so each average is bit for bit the one over every
-    pair. Given `f_only`, an f-only block evaluator whose flip half-sum is
-    the second component, a key set that takes the cube (_takes_cube)
-    instead evaluates f_only at all 2^n masks (_every_mask) and reads
-    each key's (f, g) off them (_flip_half_sums). The sweep counts the
-    p(p-1)/2 + 1 evaluations the certificate averages and one
-    factorization per function swept for each row it evaluates: each
-    distinct key, or each mask of the cube. A weighted sum that leaves
-    the float range raises OverflowError naming its component, from
-    `names`, and p.
-    """
-    p, n = signs.shape
-    keys, counts = _pair_multiset(signs)
-    if f_only is not None and _takes_cube(n, len(keys)):
-        f = _every_mask(f_only, n, threads, size)
-        values, rows = (f[keys], _flip_half_sums(f, keys, n)), len(f)
-    else:
-        values, rows = _evaluate_keys(evaluate_block, keys, n, threads, size), len(keys)
-    ones = tuple(v[0].item() for v in values)
-    square = float(p) * float(p)
-
-    def average(v, one, name):
-        try:
-            return (p * one + 2.0 * _weighted_sum(v, counts)) / square
-        except OverflowError:
-            raise OverflowError(f"the pair sum of {name} over p={p} samples leaves the float range") from None
-
-    averages = tuple(average(v, one, name) for v, one, name in zip(values, ones, names, strict=True))
-    return averages, ones, EvalCounters(evaluations=p * (p - 1) // 2 + 1, factorizations=rows * swept)
+def _pair_average(values: np.ndarray, counts: np.ndarray, p: int, name: str) -> float | complex:
+    """(p * v_0 + 2 * sum_k counts[k] * v_k) / p^2 over the values at _pair_multiset's keys, all-ones
+    first at count 0: the average over the p^2 ordered pairs, the diagonal's p copies of v_0 among
+    them, bit for bit the one over every pair (_weighted_sum). A pair sum that leaves the float range
+    raises OverflowError naming the component, `name`, and p."""
+    try:
+        return (p * values[0].item() + 2.0 * _weighted_sum(values, counts)) / (float(p) * float(p))
+    except OverflowError:
+        raise OverflowError(f"the pair sum of {name} over p={p} samples leaves the float range") from None
 
 
 def markov_apriori(c: float, p: int) -> float:
@@ -373,7 +349,15 @@ def certify(fn: BernoulliFunction, p: int, seed: int, threads: int = 1) -> Certi
     checked here (it is a structural property of the function; see the
     oracle module for small-n verification).
     """
-    (f_bar, g_bar), (_, g_one), counters = _pair_sweep(fn.evaluate_block_with_g, sample(p, fn.n, seed), 1, threads, fn.block_size, f_only=fn.evaluate_block)
+    n = fn.n
+    keys, counts = _pair_multiset(sample(p, n, seed))
+    if _takes_cube(n, len(keys)):
+        cube = _every_mask(fn.evaluate_block, n, threads, fn.block_size)
+        f, g, rows = cube[keys], _flip_half_sums(cube, keys, n), len(cube)
+    else:
+        (f, g), rows = _evaluate_keys(fn.evaluate_block_with_g, keys, n, threads, fn.block_size), len(keys)
+    f_bar, g_bar, g_one = _pair_average(f, counts, p, "f"), _pair_average(g, counts, p, "g"), g[0].item()
+    counters = EvalCounters(evaluations=p * (p - 1) // 2 + 1, factorizations=rows)
     cert = Certificate(f_bar=f_bar, g_bar=g_bar, p=p, seed=seed, g_at_ones=g_one, c_bound=fn.bounded_difference_constant, counters=counters)
     if not cert.lower <= cert.upper:
         raise FactorizationError(f"numerical breakdown: g_bar={g_bar!r} leaves the empty interval [{cert.lower!r}, {cert.upper!r}]")
@@ -390,7 +374,10 @@ def certify_dominated(f1: BernoulliFunction, g2: BernoulliFunction, p: int, seed
     """
     if g2.n != f1.n:
         raise ValueError(f"g2 dimension {g2.n} does not match f1 dimension {f1.n}")
-    (center, radius), _, counters = _pair_sweep(lambda table: (f1.evaluate_block(table), g2.evaluate_block(table)), sample(p, f1.n, seed), 2, threads, min(f1.block_size, g2.block_size), ("f1", "g2"))
+    keys, counts = _pair_multiset(sample(p, f1.n, seed))
+    f, g = _evaluate_keys(lambda table: (f1.evaluate_block(table), g2.evaluate_block(table)), keys, f1.n, threads, min(f1.block_size, g2.block_size))
+    center, radius = _pair_average(f, counts, p, "f1"), _pair_average(g, counts, p, "g2")
+    counters = EvalCounters(evaluations=p * (p - 1) // 2 + 1, factorizations=2 * len(keys))
     radius = float(radius) + NUMERICAL_SLACK
     if not radius >= 0.0:
         raise FactorizationError(f"numerical breakdown: the computed radius {radius!r} is negative")

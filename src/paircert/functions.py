@@ -432,7 +432,8 @@ class ResolventTraceFunction(_BlockKernel):
         failed factorization means the positivity guarantee was violated upstream."""
         table = np.asarray(table)
         lam, n = self.params.lam, self.n
-        kernel = _eliminate if n <= ELIMINATION_LIMIT else self._invert
+        # the tree reads its first row, so an empty table takes _invert, whose stack of no matrices is empty
+        kernel = _eliminate if 0 < len(table) and n <= ELIMINATION_LIMIT else self._invert
         trace, diagonal, col_sq = kernel(self._base, lam, table, with_g)
         self._factorizations.add(len(table))
         f = trace / n
@@ -447,7 +448,7 @@ class ResolventTraceFunction(_BlockKernel):
     def _invert(self, base: np.ndarray, lam: float, table: np.ndarray, with_g: bool):
         """_eliminate's three arrays from one dpotrf and dpotri per matrix, or from the stacked numpy
         kernel without the binding."""
-        n, k = self.n, len(table)
+        n = self.n
         m = _operators(base, lam, table)
         if _openblas is None:
             try:
@@ -457,7 +458,7 @@ class ResolventTraceFunction(_BlockKernel):
             np.matmul(x.transpose(0, 2, 1), x, out=m)  # M^-1 = X^T X
         else:
             order, info = ctypes.c_int64(n), ctypes.c_int64()
-            for address in range(m.ctypes.data, m.ctypes.data + k * m.strides[0], m.strides[0]):
+            for address in range(m.ctypes.data, m.ctypes.data + m.nbytes, m.itemsize * n * n):  # m.strides[0] is 0 when m is empty
                 # one matrix at a time, in place; LAPACK's lower triangle is the row's upper one
                 _openblas.scipy_dpotrf_64_(b"L", order, address, order, info, 1)
                 if info.value != 0:

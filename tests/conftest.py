@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from paircert import estimator
 from paircert.functions import BernoulliFunction, ResolventParams, ResolventTraceFunction
 from paircert.graph import Graph, build_torus_cayley, laplacian
 
@@ -52,6 +53,15 @@ class Blocked(BernoulliFunction):
     @property
     def factorization_count(self) -> int:
         return self.inner.factorization_count
+
+
+def pair_averages(evaluate_block, signs: np.ndarray, threads: int, size: int) -> tuple[tuple, tuple]:
+    """Either certificate's path over the keys, composed from the estimator's parts: the pair average
+    of each component of evaluate_block over a (p, n) sign table, and its value at all-ones, the keys
+    evaluated in chunks of `size` dealt to `threads`."""
+    keys, counts = estimator._pair_multiset(signs)
+    values = estimator._evaluate_keys(evaluate_block, keys, signs.shape[1], threads, size)
+    return tuple(estimator._pair_average(v, counts, len(signs), "v") for v in values), tuple(v[0].item() for v in values)
 
 
 def _bits(arrays) -> list:

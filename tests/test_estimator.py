@@ -43,7 +43,7 @@ from paircert.graph import build_torus_cayley, laplacian
 from paircert.oracle import exact_expectation
 from paircert.sampling import all_ones, pack_keys, pair_product, sample, unpack_keys
 
-from conftest import Blocked, ConstantFunction, LambdaFunction, single_vertex_resolvent
+from conftest import Blocked, ConstantFunction, LambdaFunction, pair_averages, single_vertex_resolvent
 
 
 def test_p1_diagonal_only(torus3_params):
@@ -92,12 +92,14 @@ def test_pair_estimate_matches_full_double_sum(torus3_params):
 def test_order_invariance_exact(torus3_params):
     fn = ResolventTraceFunction(torus3_params)
     s = sample(7, 9, 3)
-    base = estimator._pair_sweep(fn.evaluate_block_with_g, s, 1, 1, fn.block_size)
+    base = pair_averages(fn.evaluate_block_with_g, s, 1, fn.block_size)
+    keys, counts = estimator._pair_multiset(s)
     rng = np.random.default_rng(0)
     for _ in range(3):
         perm = rng.permutation(7)
         shuffled = s[perm]
-        assert estimator._pair_sweep(fn.evaluate_block_with_g, shuffled, 1, 1, fn.block_size) == base
+        assert pair_averages(fn.evaluate_block_with_g, shuffled, 1, fn.block_size) == base
+        assert [a.tolist() for a in estimator._pair_multiset(shuffled)] == [keys.tolist(), counts.tolist()]
 
 
 def test_pair_sweep_matches_pair_product_loop(torus3_params):
@@ -109,7 +111,7 @@ def test_pair_sweep_matches_pair_product_loop(torus3_params):
     pairs = [fn.evaluate_with_g(pair_product(s, i, j)) for i in range(p) for j in range(i + 1, p)]
     expected = tuple((p * one + 2.0 * math.fsum(v[k] for v in pairs)) / (p * p) for k, one in enumerate(ones))
     for threads in (1, 3):
-        assert estimator._pair_sweep(fn.evaluate_block_with_g, s, 1, threads, fn.block_size)[:2] == (expected, ones)
+        assert pair_averages(fn.evaluate_block_with_g, s, threads, fn.block_size) == (expected, ones)
 
 
 def _distinct_pair_products(s):
@@ -143,21 +145,23 @@ def test_pair_sweep_matches_pair_product_loop_where_products_repeat(dominated, t
     # block_rows(9) = 1,618 takes the 512 keys in one chunk; at 404 rows, threads=3 deals two chunks to two threads
     for size in (block_rows(9), 404):
         for threads in (1, 3):
-            assert estimator._pair_sweep(evaluate_block, s, 2 if dominated else 1, threads, size)[:2] == (expected, ones)
+            assert pair_averages(evaluate_block, s, threads, size) == (expected, ones)
 
 
 @pytest.mark.parametrize("threads", [1, 3])
-def test_pair_sweep_evaluates_each_distinct_pair_product_once(torus3_params, threads):
-    # 404 rows a chunk splits the 512 keys in two, which go to two threads at threads=3
+def test_pair_sweep_evaluates_each_distinct_pair_product_once(monkeypatch, torus3_params, threads):
+    # 404 rows a chunk splits the 512 keys in two, which go to two threads at threads=3; certify's
+    # (f, g) path on the keys, which 512 keys at n = 9 take only with the cube turned off
     seen = []
-    fn = ResolventTraceFunction(torus3_params)
 
-    def recording(table):
-        seen.append((threading.get_ident(), [row.tobytes() for row in table]))
-        return fn.evaluate_block_with_g(table)
+    class Recording(ResolventTraceFunction):
+        def evaluate_block_with_g(self, table):
+            seen.append((threading.get_ident(), [row.tobytes() for row in table]))
+            return super().evaluate_block_with_g(table)
 
+    monkeypatch.setattr(estimator, "_takes_cube", lambda n, keys: False)
     s = sample(200, 9, 4)
-    _, _, counters = estimator._pair_sweep(recording, s, 1, threads, 404)
+    counters = certify(Blocked(Recording(torus3_params), 404), 200, 4, threads=threads).counters
     # all-ones first in the calling thread's first block, and every row of {all-ones} and the
     # products once: all-ones is also a product here
     assert [rows for thread, rows in seen if thread == threading.get_ident()][0][0] == all_ones(9).tobytes()
@@ -358,12 +362,13 @@ def test_cube_g_is_naive_g_for_any_function():
     values = np.random.default_rng(3).standard_normal(512)
     fn = LambdaFunction(9, lambda eps: float(values[pack_keys(eps[None])[0]]))
     keys = np.arange(512, dtype="<u8")
-    g = estimator._flip_half_sums(estimator._every_mask(fn.evaluate_block, 9, 1, fn.block_size), keys, 9)
+    f = estimator._every_mask(fn.evaluate_block, 9, 1, fn.block_size)
+    g = estimator._flip_half_sums(f, keys, 9)
     assert _int64(g) == _int64([naive_g(fn, eps) for eps in unpack_keys(keys, 9)])
-    s = sample(200, 9, 1)
-    cube = estimator._pair_sweep(fn.evaluate_block_with_g, s, 1, 1, fn.block_size, f_only=fn.evaluate_block)
-    keyed = estimator._pair_sweep(fn.evaluate_block_with_g, s, 1, 1, fn.block_size)
-    assert cube[2].factorizations == 512 and _int64(cube[0] + cube[1]) == _int64(keyed[0] + keyed[1])
+    # certify's cube against the (f, g) path over the same keys; the cube's f at all-ones is f at mask 0
+    cube = certify(fn, 200, 1)
+    keyed = pair_averages(fn.evaluate_block_with_g, sample(200, 9, 1), 1, fn.block_size)
+    assert cube.counters.factorizations == 512 and _int64((cube.f_bar, cube.g_bar, f[0], cube.g_at_ones)) == _int64(keyed[0] + keyed[1])
 
 
 def test_cube_g_is_naive_g_bit_for_bit_on_a_torus4_sample():
@@ -397,6 +402,17 @@ def test_thread_count_invariance(torus3, torus3_params):
     assert all(disc == discs[0] for disc in discs)
 
 
+def test_resolvent_disc_at_n16_equal_across_threads():
+    # exp:0.3 has no coefficients, so g2 is kappa times the resolvent, whose g takes Takahashi's
+    # recurrence; p = 40 holds 781 keys, two blocks of f1's 512 rows, which threads=3 deals to two threads
+    graph = build_torus_cayley(4)
+    params = ResolventParams(1.0, 1.0, laplacian(graph))
+    f1, f2 = dominating_resolvent_scale(AnalyticFunction.exp_scaled(0.3), params, graph)
+    assert isinstance(f2, ResolventTraceFunction) and (f1.block_size, f2.block_size) == (512, 4096)
+    assert len(estimator._pair_multiset(sample(40, 16, 1))[0]) == 781
+    assert certify_dominated(f1, GFunction(f2), 40, 1, threads=1) == certify_dominated(f1, GFunction(f2), 40, 1, threads=3)
+
+
 def test_pair_sweep_submits_one_task_per_extra_block(monkeypatch, torus3_params):
     submitted, callers = [], []
 
@@ -411,16 +427,14 @@ def test_pair_sweep_submits_one_task_per_extra_block(monkeypatch, torus3_params)
             return super().evaluate_block_with_g(table)
 
     monkeypatch.setattr("paircert.estimator.ThreadPoolExecutor", CountingPool)
-    s = sample(9, 9, 8)
+    s = sample(9, 9, 8)  # certify's sample at seed 8: 29 keys, short of the cube's 32
     for threads in (2, 5, 16):
         submitted.clear()
-        fn = ResolventTraceFunction(torus3_params)
-        estimator._pair_sweep(fn.evaluate_block_with_g, s, 1, threads, fn.block_size)
+        certify(ResolventTraceFunction(torus3_params), 9, 8, threads=threads)
         assert len(submitted) <= min(threads, len(s) - 1) - 1
 
     submitted.clear()
-    fn = RecordingResolvent(torus3_params)
-    estimator._pair_sweep(fn.evaluate_block_with_g, s, 1, 1, fn.block_size)
+    certify(RecordingResolvent(torus3_params), 9, 8)
     assert submitted == []
     # the 29 distinct of the 36 pair products, all-ones among them, in one chunk: the tree's 4,096 rows at n = 9 hold them all
     distinct = {(s[i] * s[j]).tobytes() for i in range(9) for j in range(i + 1, 9)}

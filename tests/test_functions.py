@@ -41,6 +41,7 @@ from conftest import (
     ConstantFunction,
     LambdaFunction,
     assert_same_bits_for_any_split,
+    pair_averages,
     random_connected_graph,
     random_signs,
     single_vertex_graph,
@@ -494,6 +495,19 @@ def _pair_table(p: int, n: int, seed: int) -> np.ndarray:
     return np.concatenate([signs[i] * signs[i + 1:] for i in range(p - 1)])
 
 
+@pytest.mark.parametrize("method", ["evaluate_block", "evaluate_block_with_g"])
+@pytest.mark.parametrize("side", [3, 4, 5])
+@pytest.mark.parametrize("kind", ["resolvent", "spectral", "majorant"])
+def test_empty_table_gives_empty_arrays(kind, side, method):
+    # no rows, on the elimination tree's side of ELIMINATION_LIMIT (n = 9, 16) and the binding's (n = 25)
+    params = ResolventParams(1.0, 1.0, laplacian(build_torus_cayley(side)))
+    h = AnalyticFunction.polynomial([0.0, 0.0, 1.0])
+    fn = {"resolvent": ResolventTraceFunction(params), "spectral": SpectralTraceFunction(h, params), "majorant": WalkMajorantFunction(h, params)}[kind]
+    out = getattr(fn, method)(np.zeros((0, params.n), dtype=np.int8))
+    for part in (out,) if method == "evaluate_block" else out:
+        assert part.shape == (0,) and part.dtype == np.float64
+
+
 @pytest.mark.parametrize("side", [3, 4, 5, 6])
 def test_block_matches_single_vectors_for_any_split(side):
     # the elimination tree up to n = ELIMINATION_LIMIT and one dpotrf/dpotri per row above it; one row
@@ -516,7 +530,7 @@ def test_block_matches_single_vectors_for_any_split(side):
     documents, dominated = set(), set()
     for size in dict.fromkeys((1, 3, block_rows(n), fn.block_size)):
         for threads in (1, 3):
-            assert estimator._pair_sweep(fn.evaluate_block_with_g, signs, 1, threads, size)[:2] == (expected, ones)
+            assert pair_averages(fn.evaluate_block_with_g, signs, threads, size) == (expected, ones)
             cert = estimator.certify(Blocked(ResolventTraceFunction(params), size), 12, 5, threads=threads)
             documents.add(json.dumps(cert.to_json_dict()))
             f1, f2 = dominating_resolvent_scale(h, params, graph)
