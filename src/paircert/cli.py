@@ -21,6 +21,7 @@ which ResolventParams refuses before any subcommand runs).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -130,11 +131,16 @@ def _certify_resolvent(args: argparse.Namespace, params: ResolventParams):
         # key at the (f, g) rate. A sweep whose keys fall short of the cube takes the tree near the
         # crossover, where the two cost about the same.
         keys = min(evaluations, 2**fn.n)
-        factored, evaluate = (2**fn.n, fn.evaluate_block) if _takes_cube(fn.n, keys) else (keys, fn.evaluate_block_with_g)
         # fastest of three calls on a block as the sweep forms them: a cold call or a lone row overstates the
-        # run, and equal rows understate it, since the elimination tree folds them into one leaf
-        table = unpack_keys(np.arange(min(fn.block_size, factored), dtype="<u8"), fn.n)
-        per_eval = min(timeit.repeat(lambda: evaluate(table), number=1, repeat=3)) / len(table)
+        # run, and equal rows understate it, since the elimination tree folds them into one leaf. The cube
+        # takes the mask entry point, which the preview times on the first block of masks
+        if _takes_cube(fn.n, keys):
+            factored, rows = 2**fn.n, min(fn.block_size, 2**fn.n)
+            evaluate = functools.partial(fn.evaluate_masks, 0, rows)
+        else:
+            factored, rows = keys, min(fn.block_size, keys)
+            evaluate = functools.partial(fn.evaluate_block_with_g, unpack_keys(np.arange(rows, dtype="<u8"), fn.n))
+        per_eval = min(timeit.repeat(evaluate, number=1, repeat=3)) / rows
         estimate = per_eval * factored
         print(f"target width {args.delta}: p={p}, {evaluations} combined evaluations, of which at most {factored} rows are factored: estimated {estimate:.3f}s", file=sys.stderr)
         if p * p > PAIR_BUDGET_WARN and not args.yes:

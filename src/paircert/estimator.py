@@ -22,19 +22,22 @@ average over the same pairs, so one sweep evaluates f1 and g2 on each block.
 F and G depend on the pair products only as a multiset, and when
 p(p-1)/2 exceeds 2^n it repeats rows. Each certificate composes three
 parts. _pair_multiset keys each row by its -1 entries (sampling.pack_keys),
-so all-ones is key 0, and counts each key. _evaluate_keys, the evaluator
-that also enumerates the oracle's 2^n keys, evaluates all-ones and each
-distinct pair product once, in chunks of the swept functions' block size,
-`BernoulliFunction.block_size`: block_rows(n) for a stacked (k, n, n)
-kernel, and 4,096 rows for the resolvent's elimination tree, whose cost is
-mostly fixed work per block: a power of two, so each block of the 2^n masks
-is a run that skips the tree's sort. A disc takes the smaller of its two.
-_pair_average weights each value by its count, one call per component.
+so all-ones is key 0, and counts each key. _evaluate_keys evaluates
+all-ones and each distinct pair product once, in chunks of the swept
+functions' block size, `BernoulliFunction.block_size`: block_rows(n) for a
+stacked (k, n, n) kernel, and 4,096 rows for the resolvent's elimination
+tree, whose cost is mostly fixed work per block. A disc takes the smaller
+of its two. _pair_average weights each value by its count, one call per
+component.
 
 Only certify's g is the flip half-sum of its f, so only certify takes the
 cube: at n <= ELIMINATION_LIMIT an interval whose distinct keys reach
 CUBE_SHARE * 2^n evaluates f alone at all 2^n masks, the oracle's own
-pass, and reads each key's g off those values as the flip half-sum,
+pass (_every_mask), through the function's mask entry point
+`BernoulliFunction.evaluate_masks`: one aligned run of all 2^n masks at one
+thread, so the elimination tree takes its shared top levels once, and
+2^ceil(log2 T) runs dealt to T threads. It reads each key's g off those
+values as the flip half-sum,
 summed in naive_g's order. Every flipped neighbour is a mask, and an
 f-only row costs a fraction of an (f, g) row, whose g takes Takahashi's
 recurrence over the row's pivots. Since f has each row's own bits, g is
@@ -187,20 +190,22 @@ class DominatedCertificate:
 def _weighted_sum(values: np.ndarray, counts: np.ndarray):
     """Exactly rounded sum of counts[i] copies of values[i]: math.fsum of one
     term values[i] * 2^k for each binary digit k set in counts[i], O(len(values)
-    * log(max count)) terms whose exact sum is that of the copies. A complex
-    value's parts are scaled apart, since a complex-by-real product can flip
-    the sign of a zero part. A term that overflows raises OverflowError, as
-    fsum does when a running sum overflows; with values of one sign both raise
-    exactly when the weighted sum leaves the float range."""
+    * log(max count)) terms whose exact sum is that of the copies, built one
+    digit k at a time. A complex value's parts are scaled apart, since a
+    complex-by-real product can flip the sign of a zero part. A term that
+    overflows raises OverflowError, as fsum does when a running sum overflows;
+    with values of one sign both raise exactly when the weighted sum leaves the
+    float range."""
     if np.iscomplexobj(values):
         return complex(_weighted_sum(values.real, counts), _weighted_sum(values.imag, counts))
-    index, digit = np.nonzero(counts[:, None] >> np.arange(int(counts.max(initial=0)).bit_length()) & 1)
+    # chosen[k]: the values whose count has binary digit k set
+    chosen = [values[counts & (1 << k) != 0] for k in range(int(counts.max(initial=0)).bit_length())]
     with np.errstate(over="ignore"):
-        terms = np.ldexp(values[index], digit)
-    if (np.isinf(terms) > np.isinf(values[index])).any():
+        terms = np.concatenate([np.ldexp(part, k) for k, part in enumerate(chosen)] or [values[:0]])
+    if np.isinf(terms).any() and (np.isinf(terms) > np.isinf(np.concatenate(chosen))).any():
         raise OverflowError("intermediate overflow in fsum")
-    # the same floats in the same order: fsum reads them faster as Python floats, and a memoryview makes
-    # each one as it is read, where terms.tolist() would hold all of them at once
+    # fsum is exactly rounded in any order of its terms; it reads them faster as Python floats, and a
+    # memoryview makes each one as it is read, where terms.tolist() would hold all of them at once
     return math.fsum(memoryview(terms))
 
 
@@ -249,23 +254,28 @@ def _pair_multiset(signs: np.ndarray):
     return keys, counts
 
 
-def _evaluate_keys(evaluate_block, keys: np.ndarray, n: int, threads: int, size: int):
-    """Per-component arrays, in key order, of evaluate_block(table) -> tuple of
-    arrays over the sign vectors of 1-D keys packed as by sampling.pack_keys.
-    Chunk k of `size` keys, the swept functions' block size, unpacked to int8
-    signs, goes to thread k mod threads: the calling thread sweeps its own
-    share and the pool the others, so a call submits at most threads - 1
-    tasks, and none at threads=1.
-    """
-    chunks = -(-len(keys) // size)
+def _deal(run, chunks: int, threads: int) -> list:
+    """[run(k) for k in range(chunks)], chunk k swept by thread k mod threads: the calling thread
+    sweeps its own share and the pool the others, so a call submits at most threads - 1 tasks, and
+    none at threads=1."""
 
     def sweep(first):
-        return [evaluate_block(unpack_keys(keys[k * size:(k + 1) * size], n)) for k in range(first, chunks, threads)]
+        return [run(k) for k in range(first, chunks, threads)]
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         others = [pool.submit(sweep, t) for t in range(1, min(threads, chunks))]
         swept = [sweep(0)] + [job.result() for job in others]
-    return tuple(np.concatenate(parts) for parts in zip(*(swept[k % threads][k // threads] for k in range(chunks))))
+    return [swept[k % threads][k // threads] for k in range(chunks)]
+
+
+def _evaluate_keys(evaluate_block, keys: np.ndarray, n: int, threads: int, size: int):
+    """Per-component arrays, in key order, of evaluate_block(table) -> tuple of
+    arrays over the sign vectors of 1-D keys packed as by sampling.pack_keys.
+    Chunk k of `size` keys, the swept functions' block size, unpacked to int8
+    signs, goes to thread k mod threads (_deal).
+    """
+    parts = _deal(lambda k: evaluate_block(unpack_keys(keys[k * size:(k + 1) * size], n)), -(-len(keys) // size), threads)
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 # certify at n <= ELIMINATION_LIMIT takes f at every mask of the cube, and each key's g from it,
@@ -282,10 +292,13 @@ def _takes_cube(n: int, keys: int) -> bool:
     return n <= ELIMINATION_LIMIT and keys >= CUBE_SHARE * 2**n
 
 
-def _every_mask(evaluate_block, n: int, threads: int, size: int) -> np.ndarray:
-    """evaluate_block(table) -> array at every sign vector of dimension n, in mask order (the one-word
-    keys of sampling.pack_keys), in chunks of `size` dealt to `threads` by _evaluate_keys."""
-    return _evaluate_keys(lambda table: (evaluate_block(table),), np.arange(2**n, dtype="<u8"), n, threads, size)[0]
+def _every_mask(fn: BernoulliFunction, threads: int) -> np.ndarray:
+    """fn at every sign vector of its dimension n, in mask order (the one-word keys of sampling.pack_keys),
+    through its mask entry point: one run of all 2^n masks at threads=1, else 2^ceil(log2 threads)
+    aligned runs, at most 2^n, run k to thread k mod threads (_deal)."""
+    runs = min(1 << (threads - 1).bit_length(), 1 << fn.n)
+    count = (1 << fn.n) // runs
+    return np.concatenate(_deal(lambda k: fn.evaluate_masks(k * count, count), runs, threads))
 
 
 def _flip_half_sums(f: np.ndarray, keys: np.ndarray, n: int) -> np.ndarray:
@@ -352,7 +365,7 @@ def certify(fn: BernoulliFunction, p: int, seed: int, threads: int = 1) -> Certi
     n = fn.n
     keys, counts = _pair_multiset(sample(p, n, seed))
     if _takes_cube(n, len(keys)):
-        cube = _every_mask(fn.evaluate_block, n, threads, fn.block_size)
+        cube = _every_mask(fn, threads)
         f, g, rows = cube[keys], _flip_half_sums(cube, keys, n), len(cube)
     else:
         (f, g), rows = _evaluate_keys(fn.evaluate_block_with_g, keys, n, threads, fn.block_size), len(keys)

@@ -40,30 +40,33 @@ The resolvent up to n = ELIMINATION_LIMIT, the oracle's whole domain,
 factors a block by one elimination tree (`_eliminate`): rows that share
 their trailing signs share those eliminations, f is the trace gathered
 on the way down, and g reads M^-1 from Takahashi's recurrence over each
-row's pivots. Above it, with base (lam+gamma)I - Lap the resolvent
-leaves M^-1 in the stack: dpotrf and dpotri from numpy's bundled
-OpenBLAS, called through ctypes with the GIL released, invert each
-matrix in place; LAPACK reads a C-ordered matrix as its transpose, so
-its lower triangle is the row's upper one, T. A numpy build without
-them writes M^-1 = X^T X over the stack, X = L^-1 for M = L L^T. Then
-f = Tr M^-1 / n, and the tail reads the diagonal, zeroes the other
-triangle, squares T in place and takes the column norms as
-colsum(T^2) + rowsum(T^2) - diag(T^2). Either kernel's g then takes the
-rank-one denominators. One vector is the k = 1 case of either kernel,
-so no value depends on the split.
+row's pivots. An aligned run of masks, as the oracle and certify's cube
+take them (`evaluate_masks`), enters the tree with no sign table
+(`_eliminate_run`): its shape is read off the mask bits. Above the
+limit, with base (lam+gamma)I - Lap the resolvent leaves M^-1 in the
+stack: dpotrf and dpotri from numpy's bundled OpenBLAS, called through
+ctypes with the GIL released, invert each matrix in place; LAPACK reads
+a C-ordered matrix as its transpose, so its lower triangle is the row's
+upper one, T. A numpy build without them writes M^-1 = X^T X over the
+stack, X = L^-1 for M = L L^T. Then f = Tr M^-1 / n, and the tail reads
+the diagonal, zeroes the other triangle, squares T in place and takes
+the column norms as colsum(T^2) + rowsum(T^2) - diag(T^2). Either
+kernel's g then takes the rank-one denominators. One vector is the
+k = 1 case of either kernel, so no value depends on the split.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .sampling import flip, pack_keys
+from .sampling import flip, pack_keys, unpack_keys
 
 # Quadrature starts at this many nodes and stops once doubling the nodes
 # moves the value by less than QUADRATURE_RTOL relative.
@@ -81,12 +84,16 @@ POWER_SUM_BUDGET = 2500
 # The resolvent takes the elimination tree (_eliminate) up to this n, oracle.ENUMERATION_LIMIT, and the
 # binding above it. Per row, one BLAS thread, in blocks of block_rows(n): the tree's f took 1.5 us
 # against the binding's 4.4 us on the sorted keys of a pair sweep at n = 16 (p = 200), and 0.9 us on
-# the oracle's masks (0.26 us in its own blocks of 4,096, runs that skip its sort); its (f, g) took
+# the oracle's masks (0.19 us through its mask entry point, one run of all 2^16); its (f, g) took
 # 5.0 against 5.6 us there. The tree's cost grows with the rows'
 # distinct prefixes: on random rows at n = 16 its f took 5.2 us against 4.4 us, and at n = 25 3.1x
 # the binding's, while at n = 20 its (f, g) lost on the pair sweep's keys too (8.8 against 7.3 us).
 # The tree itself takes n <= 64, where a key is one uint64 word (see _eliminate), whatever this limit becomes.
 ELIMINATION_LIMIT = 16
+
+# the elimination tree's block, 4,096 rows at every n <= ELIMINATION_LIMIT (ResolventTraceFunction.block_size),
+# and the leaves of one chunk of the deep levels on its mask entry point (_eliminate_run)
+TREE_ROWS = BLOCK_ENTRIES // (2 * ELIMINATION_LIMIT)
 
 
 def _load_openblas() -> ctypes.CDLL | None:
@@ -234,7 +241,9 @@ class BernoulliFunction:
     neither cannot be instantiated. `evaluate_with_g`
     defaults to the naive n+1-evaluation flip half-sum and should be
     overridden when a cheaper combined path exists; `evaluate_block_with_g`
-    loops over it. Evaluations are pure and may run concurrently.
+    loops over it. `evaluate_masks` takes an aligned run of masks through
+    `evaluate_block` unless overridden. Evaluations are pure and may run
+    concurrently.
     """
 
     def __init__(self, n: int):
@@ -260,6 +269,15 @@ class BernoulliFunction:
     def evaluate_block_with_g(self, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pairs = [self.evaluate_with_g(eps) for eps in table]
         return np.array([f for f, _ in pairs]), np.array([g for _, g in pairs])
+
+    def evaluate_masks(self, first: int, count: int) -> np.ndarray:
+        """Values at the aligned run of masks first, ..., first+count-1, in mask order: count a power
+        of two, first a multiple of it, within the 2^n masks. A mask is the one-word key of
+        sampling.pack_keys, bit k set where coordinate k is -1. This default unpacks the run
+        `block_size` masks at a time for `evaluate_block`."""
+        first, count = _aligned_run(self.n, first, count)
+        masks, size = np.arange(first, first + count, dtype="<u8"), self.block_size
+        return np.concatenate([self.evaluate_block(unpack_keys(masks[at:at + size], self.n)) for at in range(0, count, size)])
 
     @property
     def block_size(self) -> int:
@@ -296,6 +314,16 @@ def _check_length(table: np.ndarray, n: int):
         raise ValueError(f"sign vector has length {table.shape[-1]}, function dimension is {n}")
 
 
+def _aligned_run(n: int, first: int, count: int) -> tuple[int, int]:
+    """(first, count) as Python ints; ValueError unless masks first, ..., first+count-1 are an aligned
+    run of one-word masks of dimension n."""
+    first, count = operator.index(first), operator.index(count)
+    if not (n <= 64 and 0 < count and count & (count - 1) == 0 and 0 <= first and first % count == 0 and first + count <= 1 << n):
+        raise ValueError(f"masks {first}, ..., {first + count - 1} are not an aligned run: count must be a power of two, "
+                         f"first a multiple of it, and both within the 2^{n} masks of one word")
+    return first, count
+
+
 def _operators(base: np.ndarray, lam: float, table: np.ndarray) -> np.ndarray:
     """C-contiguous float64 (k, n, n) stack of base - lam*diag(eps), one matrix per row of the sign table."""
     k, n = len(table), len(base)
@@ -303,6 +331,36 @@ def _operators(base: np.ndarray, lam: float, table: np.ndarray) -> np.ndarray:
     m = np.broadcast_to(base, (k, n, n)).copy()  # not astype: the ctypes loop needs each matrix contiguous
     m.reshape(k, n * n)[:, :: n + 1] -= lam * table
     return m
+
+
+def _root(base: np.ndarray) -> np.ndarray:
+    """The elimination tree's one node before any level: S^T beside the pending rows of L^-1, coordinate
+    n-1 first; S^T, so that S's column 0, which q is made of, is the row that the update subtracts."""
+    n = len(base)
+    return np.concatenate([base[::-1, ::-1], np.eye(n)], axis=1)[None]
+
+
+def _level(a: np.ndarray, trace: np.ndarray, shift: np.ndarray):
+    """One level of the elimination tree over a stack of nodes and their traces: each node's children,
+    whose shifts lam*e of the next coordinate are `shift`, (nodes, children), or (1, children) for
+    every node alike. Returns the children's stack and traces, node-major, and their pivots and q."""
+    pending = a.shape[1]
+    row = a[:, 0, 1:]
+    pivot = a[:, 0, 0, None] - shift
+    nodes, children = pivot.shape
+    q = row[:, None, : pending - 1] / pivot[:, :, None]
+    trace = (trace[:, None] + np.square(row[:, pending - 1:]).sum(axis=1)[:, None] / pivot).reshape(-1)
+    update = np.multiply(q[:, :, :, None], row[:, None, None, :])
+    a = np.subtract(a[:, None, 1:, 1:], update, out=update).reshape(nodes * children, *update.shape[2:])
+    return a, trace, pivot.reshape(-1), q.reshape(nodes * children, pending - 1)
+
+
+def _check_pivots(pivots: list):
+    """FactorizationError unless every pivot of the list of arrays is positive; a nan is not."""
+    pivots = np.concatenate(pivots)
+    if not (pivots > 0.0).all():
+        bad = pivots[~(pivots > 0.0)][0]
+        raise FactorizationError(f"elimination pivot {bad!r} is not positive; matrix is not positive definite")
 
 
 def _eliminate(base: np.ndarray, lam: float, table: np.ndarray, with_g: bool):
@@ -316,18 +374,15 @@ def _eliminate(base: np.ndarray, lam: float, table: np.ndarray, with_g: bool):
     left out, beside the pending rows of L^-1 for M = L D L^T, and the trace c so far. Its child for
     sign e of the next coordinate takes the pivot a = S_00 - lam*e, q = S[1:, 0]/a and
     S <- S[1:, 1:] - S[1:, 0] q^T; row 0 of L^-1 is then final, x, so c <- c + |x|^2/a, and each
-    pending row i takes -q_i x. The Gram matrix of the pending rows is the trace weight W that makes
-    c + Tr(W S^-1) = Tr M^-1 at every depth. A level at which every node has both children builds
-    them by broadcasting the node over its two signs, sign +1 first as key order leaves them; a
-    level at which some node has one child gathers each child's parent. A run, k = 2^j consecutive
-    masks from a multiple of k as each block of the 2^n masks is, needs no sort: its rows are
-    distinct and in key order already, so they are its leaves, its top n-j bits are one node's, and
-    below that every node has both children, node i of depth d holding the rows from i*2^(n-d) on.
-    The flip half-sum needs all of M^-1: from the last pivot back, Takahashi's recurrence takes
+    pending row i takes -q_i x (`_level`). The Gram matrix of the pending rows is the trace weight W
+    that makes c + Tr(W S^-1) = Tr M^-1 at every depth. A level at which every node has both
+    children builds them by broadcasting the node over its two signs, sign +1 first as key order
+    leaves them; a level at which some node has one child gathers each child's parent. The flip
+    half-sum needs all of M^-1: from the last pivot back, Takahashi's recurrence takes
     Z_j = [[1/a + q^T v, -v^T], [-v, Z_j+1]], v = Z_j+1 q, and Z_0 = M^-1, over at most
     block_rows(n) leaves at a time, so its (leaves, n, n) stack stays within BLOCK_ENTRIES in any
-    block. Every value comes from its own row's operations in a fixed order, the same on a run as
-    on the sorted path, so it has the same bits in any block.
+    block. Every value comes from its own row's operations in a fixed order, the same as on the mask
+    entry point (`_eliminate_run`), so it has the same bits in any block.
 
     Domain: n <= 64, where a key is one uint64 word. A row opens a node at depth d where its key
     and the previous row's differ in their top d bits, an exact integer test.
@@ -337,52 +392,32 @@ def _eliminate(base: np.ndarray, lam: float, table: np.ndarray, with_g: bool):
     if not (np.abs(table) == 1).all():  # rows share a node by their signs alone
         raise ValueError("sign vector entries must be -1 or +1")
     key = pack_keys(table)  # coordinate n-1 the leading bit
-    # a run, k = 2^j consecutive masks from a multiple of k: one node down to depth top = n - j, both children below
-    aligned, top = k & (k - 1) == 0 and int(key[0]) % k == 0 and (np.diff(key) == 1).all(), n + 1 - k.bit_length()
-    if not aligned:
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        # fresh[d, i]: sorted row i opens a node of depth d, as its top d bits differ from row i-1's
-        fresh = np.ones((n + 1, k), dtype=bool)
-        fresh[:, 1:] = (key[1:] ^ key[:-1]) >> np.arange(n, -1, -1, dtype=np.uint64)[:, None] != 0
-        node = np.cumsum(fresh, axis=1, dtype=np.int32)
-        node -= 1  # node[d, i]: the node of depth d that sorted row i is in
-        table = table[order]
-    # one node: S^T beside the pending rows of L^-1, coordinate n-1 first; S^T, so that S's
-    # column 0, which q is made of, is the row that the update subtracts
-    a = np.concatenate([base[::-1, ::-1], np.eye(n)], axis=1)[None]
-    trace, starts, steps = np.zeros(1), np.zeros(1, dtype=np.intp), []
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    # fresh[d, i]: sorted row i opens a node of depth d, as its top d bits differ from row i-1's
+    fresh = np.ones((n + 1, k), dtype=bool)
+    fresh[:, 1:] = (key[1:] ^ key[:-1]) >> np.arange(n, -1, -1, dtype=np.uint64)[:, None] != 0
+    node = np.cumsum(fresh, axis=1, dtype=np.int32)
+    node -= 1  # node[d, i]: the node of depth d that sorted row i is in
+    table = table[order]
+    a, trace, starts, steps = _root(base), np.zeros(1), np.zeros(1, dtype=np.intp), []
     # a pivot that is not positive raises below, after the sweep; errstate quiets the infs and nans it leaves
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for d in range(n):
             children = 1
-            if aligned:
-                if d >= top:  # node i's children are 2i and 2i+1, sign +1 first
-                    starts, children = np.arange(0, k, k >> (d + 1 - top)), 2
-            elif node[d + 1, -1] > node[d, -1]:  # a node branches
+            if node[d + 1, -1] > node[d, -1]:  # a node branches
                 starts = np.flatnonzero(fresh[d + 1])
-                if len(starts) == 2 * len(a):  # every node has both, as in a run
+                if len(starts) == 2 * len(a):  # every node has both
                     children = 2
                 else:
                     parent = node[d, starts]
                     a, trace = a[parent], trace[parent]
-            # (node, child) axes; the shift of coordinate n-1-d read at each child's first row
-            row = a[:, 0, 1:]
-            pivot = a[:, 0, 0, None] - (lam * table[starts, n - 1 - d]).reshape(-1, children)
-            q = row[:, None, : n - d - 1] / pivot[:, :, None]
-            trace = (trace[:, None] + np.square(row[:, n - d - 1:]).sum(axis=1)[:, None] / pivot).reshape(-1)
-            update = np.multiply(q[:, :, :, None], row[:, None, None, :])
-            a = np.subtract(a[:, None, 1:, 1:], update, out=update).reshape(len(starts), *update.shape[2:])
-            pivot, q = pivot.reshape(-1), q.reshape(len(starts), n - d - 1)
+            # the shift of coordinate n-1-d read at each child's first row
+            a, trace, pivot, q = _level(a, trace, (lam * table[starts, n - 1 - d]).reshape(-1, children))
             steps.append((pivot, q))
-    pivots = np.concatenate([pivot for pivot, _ in steps])
-    if not (pivots > 0.0).all():
-        bad = pivots[~(pivots > 0.0)][0]
-        raise FactorizationError(f"elimination pivot {bad!r} is not positive; matrix is not positive definite")
-    leaf = slice(None)  # a run's leaves are its rows
-    if not aligned:
-        leaf = np.empty(k, dtype=np.intp)
-        leaf[order] = node[n]
+    _check_pivots([pivot for pivot, _ in steps])
+    leaf = np.empty(k, dtype=np.intp)
+    leaf[order] = node[n]
     if not with_g:
         return trace[leaf], None, None
     leaves, size = len(starts), block_rows(n)
@@ -393,7 +428,7 @@ def _eliminate(base: np.ndarray, lam: float, table: np.ndarray, with_g: bool):
         for d in range(n - 1, -1, -1):
             pivot, q = steps[d]
             if len(pivot) < leaves:  # the leaves' ancestors at depth d+1
-                ancestor = starts[chunk] >> (n - d - 1) if aligned else node[d + 1, starts[chunk]]
+                ancestor = node[d + 1, starts[chunk]]
                 pivot, q = pivot[ancestor], q[ancestor]
             else:
                 pivot, q = pivot[chunk], q[chunk]
@@ -405,6 +440,45 @@ def _eliminate(base: np.ndarray, lam: float, table: np.ndarray, with_g: bool):
         diagonal[chunk] = np.diagonal(z, axis1=1, axis2=2)[:, ::-1]
         col_sq[chunk] = np.square(z, out=z).sum(axis=2)[:, ::-1]
     return trace[leaf], diagonal[leaf], col_sq[leaf]
+
+
+def _eliminate_run(base: np.ndarray, lam: float, first: int, count: int) -> np.ndarray:
+    """Tr M^-1 at the aligned run of masks first, ..., first+count-1 (count = 2^j, first a multiple of
+    it), in mask order, by `_eliminate`'s tree with its shape read off the mask bits.
+
+    A mask's leading bit n-1 is the tree's first coordinate, and bit c set means eps_c = -1, whose
+    shift lam*eps_c is -lam. The run's top n-j bits are first's, so its first n-j levels are one
+    node's, taken once. Below them every node has both children, sign +1 first, node i of depth d holding the
+    masks from first + i*2^(n-d) on. The levels branch breadth-first while the children's stack fits
+    BLOCK_ENTRIES, and the nodes reached then finish the deep levels TREE_ROWS leaves at a time.
+    Each stage checks its own pivots, so none outlives its chunk. The arithmetic is `_level`'s, in
+    the order the sorted path takes, so every value has the bits of a one-row call.
+    """
+    n = len(base)
+    top = n + 1 - count.bit_length()
+    a, trace, pivots = _root(base), np.zeros(1), []
+    # a pivot that is not positive raises at the end of its stage; errstate quiets the infs and nans it leaves
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for d in range(top):
+            a, trace, pivot, _ = _level(a, trace, np.full((1, 1), -lam if first >> (n - 1 - d) & 1 else lam))
+            pivots.append(pivot)
+        both, d = np.array([[lam, -lam]]), top
+        while d < n and 2 * a.size <= BLOCK_ENTRIES:
+            a, trace, pivot, _ = _level(a, trace, both)
+            pivots.append(pivot)
+            d += 1
+        _check_pivots(pivots)
+        if d < n:  # the deep levels, from as many nodes at a time as hold TREE_ROWS leaves
+            nodes, out = max(1, TREE_ROWS >> (n - d)), []
+            for at in range(0, len(a), nodes):
+                chunk, sums, pivots = a[at:at + nodes], trace[at:at + nodes], []
+                for _ in range(d, n):
+                    chunk, sums, pivot, _ = _level(chunk, sums, both)
+                    pivots.append(pivot)
+                _check_pivots(pivots)
+                out.append(sums)
+            trace = np.concatenate(out)
+    return trace
 
 
 def naive_g(fn: BernoulliFunction, eps: np.ndarray):
@@ -445,6 +519,16 @@ class ResolventTraceFunction(_BlockKernel):
             raise FactorizationError("rank-one update denominator is not positive")
         return self.scale * f, self.scale * ((lam / n) * (table * col_sq / denom).sum(axis=1))
 
+    def evaluate_masks(self, first: int, count: int) -> np.ndarray:
+        """At n <= ELIMINATION_LIMIT the elimination tree's mask entry point (`_eliminate_run`), with
+        no sign table; above it the default blocks."""
+        if self.n > ELIMINATION_LIMIT:
+            return super().evaluate_masks(first, count)
+        first, count = _aligned_run(self.n, first, count)
+        trace = _eliminate_run(self._base, self.params.lam, first, count)
+        self._factorizations.add(count)
+        return self.scale * (trace / self.n)
+
     def _invert(self, base: np.ndarray, lam: float, table: np.ndarray, with_g: bool):
         """_eliminate's three arrays from one dpotrf and dpotri per matrix, or from the stacked numpy
         kernel without the binding."""
@@ -478,14 +562,13 @@ class ResolventTraceFunction(_BlockKernel):
 
     @property
     def block_size(self) -> int:
-        """block_rows(n) for the binding; for the elimination tree BLOCK_ENTRIES // (2 * ELIMINATION_LIMIT)
-        = 4,096 rows at every n <= 16, 8x a stacked block at n = 16. The tree keeps no (k, n, n) stack
-        on its f path, and its cost is mostly fixed work per block, n levels of numpy calls: one pass
-        over the oracle's 2^16 masks took a median 59 ms in blocks of 512 and 23 ms in blocks of
-        4,096, each sorted, and 17 ms once its blocks, a power of two long, were runs that skip the
-        sort (one BLAS thread, 2-vCPU host). Larger blocks gained little, and one block of all 2^16
-        masks doubled the pass's peak memory."""
-        return BLOCK_ENTRIES // (2 * ELIMINATION_LIMIT) if self.n <= ELIMINATION_LIMIT else block_rows(self.n)
+        """block_rows(n) for the binding; for the elimination tree TREE_ROWS = 4,096 rows at every
+        n <= 16, 8x a stacked block at n = 16. The tree keeps no (k, n, n) stack on its f path, and
+        its cost is mostly fixed work per block, n levels of numpy calls: one pass over the oracle's
+        2^16 masks as sorted tables took a median 59 ms in blocks of 512 and 23 ms in blocks of 4,096
+        (one BLAS thread, 2-vCPU host). Larger blocks gained little, and one sorted block of all 2^16
+        masks doubled the pass's peak memory. Masks take `evaluate_masks`, which needs no block."""
+        return TREE_ROWS if self.n <= ELIMINATION_LIMIT else block_rows(self.n)
 
     @property
     def bounded_difference_constant(self) -> float:

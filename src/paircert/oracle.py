@@ -6,7 +6,10 @@ Conventions, fixed so every transform is reproducible:
   * enumeration order: sign vector number `mask` has eps_{k+1} = -1
     exactly when bit k of `mask` is set (so vector 0 is all ones). A mask
     is the pair sweep's one-word key, and estimator._every_mask evaluates
-    every mask, for the oracle as for a certificate that takes the cube.
+    every mask, for the oracle as for a certificate that takes the cube,
+    through the function's mask entry point: the oracle's one aligned run
+    of all 2^n masks, which the resolvent's elimination tree reads off the
+    mask bits with no sign table.
 
 With values listed in that order, one unnormalized Walsh-Hadamard
 transform maps coefficients to values, and the same transform divided
@@ -88,7 +91,7 @@ def _enumerate_values(fn: BernoulliFunction) -> np.ndarray:
     total = 1 << n
     if n > ENUMERATION_LIMIT:
         raise BudgetError(f"enumeration at n={n} needs 2^{n} = {total} evaluations; the budget stops at n={ENUMERATION_LIMIT}")
-    return _every_mask(fn.evaluate_block, n, threads=1, size=fn.block_size)
+    return _every_mask(fn, threads=1)
 
 
 def _exact_mean(values: np.ndarray) -> float | complex:

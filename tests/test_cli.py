@@ -16,6 +16,7 @@ from paircert import cli, functions
 from paircert.cli import main
 from paircert.estimator import NUMERICAL_SLACK
 from paircert.oracle import CheckResult
+from paircert.sampling import unpack_keys
 
 NUMBER = {"type": "number"}
 
@@ -403,16 +404,20 @@ def test_delta_preview_times_distinct_rows(capsys, monkeypatch, side):
     # the elimination tree folds equal rows into one leaf, so a block of equal rows timed it about
     # 10x low at n = 16; the preview times distinct rows at the function's own block size, and
     # that block is the first evaluated. At p = 201 torus:3 and torus:4 take the cube, whose 2^n
-    # rows the preview times f-only, and torus:5 (n = 25) takes (f, g) on its keys
-    tables = []
+    # masks the preview times f-only on the mask entry point, and torus:5 (n = 25) takes (f, g) on its keys
+    calls = []
 
     class Recording(functions.ResolventTraceFunction):
+        def evaluate_masks(self, first, count):
+            calls.append(("masks", unpack_keys(np.arange(first, first + count, dtype="<u8"), self.n)))
+            return super().evaluate_masks(first, count)
+
         def evaluate_block(self, table):
-            tables.append(("f", np.array(table)))
+            calls.append(("f", np.array(table)))
             return super().evaluate_block(table)
 
         def evaluate_block_with_g(self, table):
-            tables.append(("f, g", np.array(table)))
+            calls.append(("f, g", np.array(table)))
             return super().evaluate_block_with_g(table)
 
     monkeypatch.setattr(cli, "ResolventTraceFunction", Recording)
@@ -423,12 +428,12 @@ def test_delta_preview_times_distinct_rows(capsys, monkeypatch, side):
     n = side * side
     assert factored == (2**n if n <= 16 else 201 * 200 // 2 + 1)
     size = functions.ResolventTraceFunction(functions.ResolventParams(1.0, 1.0, np.zeros((n, n)))).block_size
-    path, timed = tables[0]
-    assert path == ("f" if n <= 16 else "f, g")
+    path, timed = calls[0]
+    assert path == ("masks" if n <= 16 else "f, g")
     assert len(timed) == min(size, factored) and len(np.unique(timed, axis=0)) == len(timed)
-    assert all(table == path and np.array_equal(rows, timed) for table, rows in tables[:3])
+    assert all(call == path and np.array_equal(rows, timed) for call, rows in calls[:3])
     # and the sweep takes the path the preview timed
-    assert {table for table, _ in tables[3:]} == {path}
+    assert {call for call, _ in calls[3:]} == {path}
 
 
 def _preview_and_wall_s(side: int, delta: str) -> tuple[float, float]:
@@ -666,11 +671,14 @@ def test_elimination_pivot_breakdown_exit1(capsys, monkeypatch):
             self._base = self._base - 10.0 * np.eye(self.n)
 
     monkeypatch.setattr(cli, "ResolventTraceFunction", IndefiniteResolvent)
-    code, out, err = run_cli(capsys, ["certify", "--graph", "torus:3", "--lambda", "1", "--gamma", "1", "--p", "5", "--seed", "7"])
-    assert code == 1
-    assert out == ""
-    errors = [line for line in err.splitlines() if line.startswith("error:")]
-    assert len(errors) == 1 and "pivot" in errors[0]
+    config = ["--graph", "torus:3", "--lambda", "1", "--gamma", "1"]
+    # keys on the tree's sorted path (p = 5), the cube's mask entry point (p = 200), and the oracle's
+    for argv in (["certify", *config, "--p", "5", "--seed", "7"], ["certify", *config, "--p", "200", "--seed", "7"], ["oracle", *config]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "pivot" in errors[0]
 
 
 def test_oracle_spectral(capsys):

@@ -236,6 +236,8 @@ def _bits(x):
 
 # mixed signs with exponents up to +300, and down to -300 with subnormals and signed zeros
 _PART = st.one_of(st.floats(-1e300, 1e300), st.floats(-1e-300, 1e-300), st.sampled_from([0.0, -0.0, 5e-324, -5e-324]))
+# the same below 1e290, so that no sum of 16 terms of up to 2^40 copies leaves the float range
+_PART_SMALL = st.one_of(st.floats(-1e290, 1e290), st.floats(-1e-300, 1e-300), st.sampled_from([0.0, -0.0, 5e-324, -5e-324]))
 
 
 @given(
@@ -257,7 +259,33 @@ def test_weighted_sum_matches_exact_sum_of_repeated_values(parts, is_complex, al
     assert _bits(estimator._weighted_sum(values, counts)) == _bits(_sum_of_copies(values, counts))
 
 
-@pytest.mark.parametrize("values, counts", [([1e308], [2]), ([-9e307], [1 << 20]), ([1e308, 1e308], [1, 1]), ([-1.5e308, -1e308], [1, 3])])
+def _fraction_sum(values: list, counts: list) -> float:
+    """The exact sum of counts[i] copies of values[i] in Fractions, rounded once; an exact zero is
+    +0.0 unless every copy is a zero, whose signs fsum alone decides."""
+    exact = sum((Fraction(v) * c for v, c in zip(values, counts)), Fraction(0))
+    copies = [v for v, c in zip(values, counts) if c]
+    return float(exact) if exact or any(copies) else math.fsum(copies)
+
+
+@given(
+    parts=st.lists(st.tuples(_PART_SMALL, _PART_SMALL, st.one_of(st.sampled_from([0, 1]), st.integers(0, 1 << 40))), min_size=1, max_size=16),
+    is_complex=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_weighted_sum_is_the_rounded_fraction_sum(parts, is_complex):
+    # the digit terms v * 2^k in any order: fsum rounds their exact sum once, whatever the order;
+    # counts from 0 to 2^40, and a complex value's parts summed apart
+    real, imag, counts = (list(column) for column in zip(*parts))
+    values = np.array(real)
+    expected = _fraction_sum(real, counts)
+    if is_complex:
+        values = np.empty(len(real), dtype=complex)
+        values.real, values.imag = real, imag
+        expected = complex(expected, _fraction_sum(imag, counts))
+    assert _bits(estimator._weighted_sum(values, np.array(counts, dtype=np.int64))) == _bits(expected)
+
+
+@pytest.mark.parametrize("values, counts", [([1e308], [2]), ([1e308], [4]), ([-9e307], [1 << 20]), ([1e308, 1e308], [1, 1]), ([-1.5e308, -1e308], [1, 3])])
 def test_weighted_sum_overflows_where_the_sum_of_copies_does(values, counts):
     # values of one sign: a running sum overflows, in any order, exactly when the weighted sum does
     values, counts = np.array(values), np.array(counts)
@@ -302,13 +330,18 @@ def test_cube_share_is_a_rule_on_n_and_keys():
 
 
 def _recording_resolvent(params: ResolventParams) -> tuple[ResolventTraceFunction, dict]:
-    """A resolvent that adds the rows handed to each block evaluator to a tally."""
+    """A resolvent that adds the rows handed to each evaluator to a tally; at n <= 16 its mask entry
+    point calls no block evaluator, so the f rows count each row once."""
     rows = {"f": 0, "f, g": 0}
 
     class Recording(ResolventTraceFunction):
         def evaluate_block(self, table):
             rows["f"] += len(table)
             return super().evaluate_block(table)
+
+        def evaluate_masks(self, first, count):
+            rows["f"] += count
+            return super().evaluate_masks(first, count)
 
         def evaluate_block_with_g(self, table):
             rows["f, g"] += len(table)
@@ -342,7 +375,7 @@ def test_cube_g_is_naive_g_bit_for_bit_at_every_torus3_key():
     params = ResolventParams(1.3, 1.0, laplacian(build_torus_cayley(3)))
     fn = ResolventTraceFunction(params)
     keys = np.arange(512, dtype="<u8")
-    f = estimator._every_mask(fn.evaluate_block, 9, 1, fn.block_size)
+    f = estimator._every_mask(fn, 1)
     g = estimator._flip_half_sums(f, keys, 9)
     table = unpack_keys(keys, 9)
     naive = np.array([naive_g(fn, eps) for eps in table])
@@ -362,7 +395,7 @@ def test_cube_g_is_naive_g_for_any_function():
     values = np.random.default_rng(3).standard_normal(512)
     fn = LambdaFunction(9, lambda eps: float(values[pack_keys(eps[None])[0]]))
     keys = np.arange(512, dtype="<u8")
-    f = estimator._every_mask(fn.evaluate_block, 9, 1, fn.block_size)
+    f = estimator._every_mask(fn, 1)
     g = estimator._flip_half_sums(f, keys, 9)
     assert _int64(g) == _int64([naive_g(fn, eps) for eps in unpack_keys(keys, 9)])
     # certify's cube against the (f, g) path over the same keys; the cube's f at all-ones is f at mask 0
@@ -375,7 +408,7 @@ def test_cube_g_is_naive_g_bit_for_bit_on_a_torus4_sample():
     params = ResolventParams(1.0, 1.0, laplacian(build_torus_cayley(4)))
     fn = ResolventTraceFunction(params)
     keys = np.unique(np.r_[0, 2**16 - 1, np.random.default_rng(5).integers(0, 2**16, 30)].astype("<u8"))
-    f = estimator._every_mask(fn.evaluate_block, 16, 3, fn.block_size)
+    f = estimator._every_mask(fn, 3)
     assert _int64(estimator._flip_half_sums(f, keys, 16)) == _int64([naive_g(fn, eps) for eps in unpack_keys(keys, 16)])
 
 

@@ -624,7 +624,7 @@ def test_cube_flip_half_sums_match_40_digit_reference():
     for lam, gamma in ((1.0, 1.0), (1.3, 1.0), (4.0, 0.5)):
         params = ResolventParams(lam, gamma, laplacian(build_torus_cayley(3)))
         fn = ResolventTraceFunction(params)
-        g = estimator._flip_half_sums(estimator._every_mask(fn.evaluate_block, 9, 1, fn.block_size), keys, 9)
+        g = estimator._flip_half_sums(estimator._every_mask(fn, 1), keys, 9)
         with mpmath.workdps(40):
             reference = [_resolvent_mp(params, eps) for eps in unpack_keys(keys, 9)]
             assert all(abs(mpmath.mpf(float(value)) - g_ref) <= 2e-14 * f_ref for value, (f_ref, g_ref) in zip(g, reference))
@@ -671,6 +671,57 @@ def test_elimination_tree_near_runs_take_the_sorted_path():
     assert [part.tolist() for part in fn.evaluate_block_with_g(table[100:612])] == [f[100:612].tolist(), g[100:612].tolist()]
 
 
+def _int64(values) -> list:
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def test_evaluate_masks_has_the_bits_of_one_row_calls():
+    # the mask entry point at n = 9: every run length 2^0..2^9 at every aligned start, against one
+    # row per call; at n = 12 and 16 runs of several lengths, each a slice of the whole cube's one
+    # run, and the cube at sampled masks against one row per call
+    fn = ResolventTraceFunction(ResolventParams(1.5, 0.75, laplacian(build_torus_cayley(3))))
+    single = _int64([fn.evaluate(eps) for eps in unpack_keys(np.arange(512, dtype="<u8"), 9)])
+    for j in range(10):
+        for first in range(0, 512, 1 << j):
+            assert _int64(fn.evaluate_masks(first, 1 << j)) == single[first:first + (1 << j)], (first, j)
+    rng = np.random.default_rng(12)
+    for n in (12, 16):
+        fn = ResolventTraceFunction(_large_params(n))
+        cube = _int64(fn.evaluate_masks(0, 1 << n))
+        for first, count in ((0, 1 << (n - 1)), (3 << (n - 4), 1 << (n - 4)), ((1 << n) - 256, 256), (1 << (n - 1) | 5, 1)):
+            assert _int64(fn.evaluate_masks(first, count)) == cube[first:first + count], (n, first, count)
+        masks = rng.choice(1 << n, 200, replace=False)
+        assert [cube[mask] for mask in masks] == _int64([fn.evaluate(eps) for eps in unpack_keys(masks.astype("<u8"), n)])
+
+
+def test_evaluate_masks_refuses_a_run_that_is_not_aligned():
+    for fn in (ResolventTraceFunction(ResolventParams(1.0, 1.0, laplacian(build_torus_cayley(3)))), LambdaFunction(9, lambda eps: 1.0)):
+        for first, count in ((1, 2), (256, 512), (3, 3), (0, 384), (0, 0), (512, 1), (0, 1024), (-2, 2)):
+            with pytest.raises(ValueError, match="aligned run"):
+                fn.evaluate_masks(first, count)
+        assert fn.factorization_count == 0
+        # numpy integers are integers
+        assert _int64(fn.evaluate_masks(np.int64(256), np.uint64(128))) == _int64(fn.evaluate_masks(256, 128))
+
+
+@pytest.mark.parametrize("n", [9, 17])
+def test_evaluate_masks_counts_its_rows(n):
+    # the tree at n = 9, and the default blocks of the binding at n = 17
+    fn = ResolventTraceFunction(_large_params(n))
+    for first, count, total in ((0, 1, 1), (64, 64, 65), (128, 128, 193)):
+        fn.evaluate_masks(first, count)
+        assert fn.factorization_count == total
+
+
+def test_evaluate_masks_default_takes_evaluate_block():
+    # a function without its own mask entry point: the default unpacks the run block_size masks at a
+    # time, so it has evaluate_block's values, blocks of one row included
+    fn = LambdaFunction(9, lambda eps: float(np.dot(np.arange(1.0, 10.0), eps)) ** 3)
+    table = unpack_keys(np.arange(128, 384, dtype="<u8"), 9)
+    assert _int64(fn.evaluate_masks(128, 128)) == _int64(fn.evaluate_block(table[:128]))
+    assert _int64(fn.evaluate_masks(256, 128)) == _int64(Blocked(fn, 1).evaluate_masks(256, 128)) == _int64(fn.evaluate_block(table[128:]))
+
+
 def test_elimination_tree_refuses_non_signs():
     # rows share a node by their signs, so any other entry would take another row's shift
     fn = ResolventTraceFunction(ResolventParams(1.0, 1.0, laplacian(build_torus_cayley(3))))
@@ -683,17 +734,29 @@ def test_elimination_tree_refuses_non_signs():
 
 @pytest.mark.parametrize("entry", [-3.0, np.nan], ids=["negative", "nan"])
 def test_elimination_pivot_failure_raises(entry):
-    # a pivot that is not positive, or nan, in one row of a block is a FactorizationError
-    fn = ResolventTraceFunction(ResolventParams(1.0, 1.0, laplacian(build_torus_cayley(3))))
-    base = fn._base.copy()
-    base[4, 4] = entry
-    fn._base = base
+    # a pivot that is not positive, or nan, in one row of a block is a FactorizationError; so on the
+    # mask entry point, whose stages check their own pivots: at n = 16 coordinate 14 is eliminated at
+    # depth 1, a single-node level of a run of 4,096 and a breadth-first one of the whole cube, and
+    # coordinate 2 at depth 13, in the cube's chunks of deep levels
+    def broken(side, coordinate):
+        fn = ResolventTraceFunction(ResolventParams(1.0, 1.0, laplacian(build_torus_cayley(side))))
+        base = fn._base.copy()
+        base[coordinate, coordinate] = entry
+        fn._base = base
+        return fn
+
+    fn = broken(3, 4)
     table = _pair_table(6, 9, 2)
     for method in (fn.evaluate_block, fn.evaluate_block_with_g):
         with pytest.raises(FactorizationError, match="pivot"):
             method(table)
         with pytest.raises(FactorizationError, match="pivot"):
             method(table[:1])
+    runs = [(fn, first, count) for first, count in ((0, 512), (256, 256), (7, 1))]
+    runs += [(broken(4, coordinate), first, count) for coordinate in (14, 2) for first, count in ((0, 1 << 16), (4096, 4096))]
+    for function, first, count in runs:
+        with pytest.raises(FactorizationError, match="pivot"):
+            function.evaluate_masks(first, count)
 
 
 def test_elimination_limit_covers_the_oracle():

@@ -25,7 +25,7 @@ from paircert.oracle import (
     exact_expectation,
     walsh_spectrum,
 )
-from paircert.sampling import pack_keys, unpack_keys
+from paircert.sampling import unpack_keys
 
 from conftest import Blocked, ConstantFunction, LambdaFunction, random_connected_graph, single_vertex_resolvent
 
@@ -211,24 +211,28 @@ def test_spectrum_immutable(torus3_params):
 
 
 def test_oracle_takes_the_elimination_trees_block():
-    # the oracle makes 2^n / 4,096 kernel calls, one per block of the tree's size, and each block is a
-    # run: 4,096 consecutive masks from a multiple of 4,096. At n = 13, on the circulant C13(1, 2), the
-    # two blocks' values are those of the same masks shuffled in one call, which takes the sorted path
-    blocks = []
+    # the oracle takes the tree's mask entry point, one aligned run of all 2^n masks, and no sign
+    # table: at n = 16 (torus:4) and n = 13 (the circulant C13(1, 2)). At n = 13 the run's values are
+    # those of the same masks shuffled in one block call, which takes the sorted path
+    runs, tables = [], []
 
     class Recording(ResolventTraceFunction):
+        def evaluate_masks(self, first, count):
+            runs.append((first, count))
+            return super().evaluate_masks(first, count)
+
         def evaluate_block(self, table):
-            blocks.append(pack_keys(table))
+            tables.append(table)
             return super().evaluate_block(table)
 
     circulant = from_edge_list("13\n" + "\n".join(f"{i} {(i + o) % 13}" for i in range(13) for o in (1, 2)))
     for graph in (build_torus_cayley(4), circulant):
         n = graph.n
-        blocks.clear()
+        runs.clear()
         fn = Recording(ResolventParams(1.0, 1.0, laplacian(graph)))
         values = _enumerate_values(fn)
-        assert fn.block_size == 4096 and len(blocks) == (1 << n) // fn.block_size
-        assert all(keys.tolist() == list(range(int(keys[0]), int(keys[0]) + 4096)) and keys[0] % 4096 == 0 for keys in blocks)
+        assert runs == [(0, 1 << n)] and tables == [] and fn.factorization_count == 1 << n
+        assert all(count & (count - 1) == 0 and first % count == 0 for first, count in runs)
     shuffled = np.random.default_rng(13).permutation(1 << 13)
     alone = ResolventTraceFunction(fn.params).evaluate_block(unpack_keys(shuffled.astype("<u8"), 13))
     assert values[shuffled].view(np.int64).tolist() == alone.view(np.int64).tolist()
